@@ -1,24 +1,32 @@
 package policy
 
-import (
-	"math/bits"
-	"math/rand"
-)
+// This file holds the one batch driver: accessBatch plays a run of
+// same-set accesses (the shape cachetools inference generates — long
+// block-ID sequences confined to one set) through the scalar
+// OnHit/Victim/OnFill protocol. A kernel takes the run itself only when
+// its own loop measurably beats that protocol in
+// BenchmarkPolicyEngineBatch (gated by make bench-compare); today that is
+// the QLRU kernel alone, whose loop hoists the per-set age and histogram
+// views out of the inner loop. Every path is pinned bit-identical to the
+// scalar protocol by TestBatchMatchesScalar.
 
-// This file holds the AccessBatch implementations: one engine call plays
-// a whole run of same-set accesses, hoisting the per-set state load (and
-// any per-set invariants: the stamp-clock wrap check, the QLRU age-bias
-// slices, the dueling leader classification and PSEL winner) out of the
-// inner loop. cachetools.RunSeqTrials and the inference/age-graph paths
-// generate exactly this shape — long block-ID sequences confined to one
-// set — so the batch loops remove an interface dispatch plus several
-// indexed loads per access. Every loop is pinned bit-identical to the
-// scalar OnHit/Victim/OnFill protocol by TestBatchMatchesScalar.
+// accessBatch plays seq against set of e. seq[i] is the abstract block
+// ID of access i; wayOf (block → way) and blockAt (way → block) carry the
+// caller's residency mapping with -1 meaning "absent", and are updated in
+// place exactly as the scalar protocol would update them. If hits is
+// non-nil it must have len(seq); hits[i] is set for accesses that hit
+// (never cleared — callers pass zeroed slices). Returns the hit count.
+func accessBatch(e Engine, set int, seq, wayOf, blockAt []int32, hits []bool) int {
+	if q, ok := e.(*qlruEngine); ok {
+		return q.accessBatch(set, seq, wayOf, blockAt, hits)
+	}
+	return accessScalar(e, set, seq, wayOf, blockAt, hits)
+}
 
-// accessBatchScalar implements the AccessBatch contract through the
-// scalar per-access entry points. It is the reference the specialized
-// loops are tested against, and the fallback for engines without one.
-func accessBatchScalar(e Engine, set int, seq, wayOf, blockAt []int32, hits []bool) int {
+// accessScalar is accessBatch through the per-access Engine calls alone:
+// the scalar protocol itself, and the oracle the QLRU loop is tested
+// against.
+func accessScalar(e Engine, set int, seq, wayOf, blockAt []int32, hits []bool) int {
 	n := 0
 	for i, b := range seq {
 		if w := wayOf[b]; w >= 0 {
@@ -40,241 +48,7 @@ func accessBatchScalar(e Engine, set int, seq, wayOf, blockAt []int32, hits []bo
 	return n
 }
 
-func (e *refEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
-	// Hoist the per-set policy lookup (lazy materialization + two array
-	// loads) out of the loop; the reference Policy calls stay scalar.
-	p := e.pol(set)
-	n := 0
-	for i, b := range seq {
-		if w := wayOf[b]; w >= 0 {
-			p.OnHit(int(w))
-			n++
-			if hits != nil {
-				hits[i] = true
-			}
-			continue
-		}
-		w := int32(p.Victim())
-		if old := blockAt[w]; old >= 0 {
-			wayOf[old] = -1
-		}
-		wayOf[b] = w
-		blockAt[w] = b
-		p.OnFill(int(w))
-	}
-	return n
-}
-
-func (e *stampEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
-	base := set * e.assoc
-	st := e.stamps[base : base+e.assoc]
-	clock := e.clock[set]
-	occ := e.occ.words[set]
-	full := e.occ.full
-	n := 0
-	for i, b := range seq {
-		if w := wayOf[b]; w >= 0 {
-			if !e.fifo {
-				if clock == ^uint32(0) {
-					e.clock[set] = clock
-					e.renorm(set)
-					clock = e.clock[set]
-				}
-				clock++
-				st[w] = clock
-			}
-			n++
-			if hits != nil {
-				hits[i] = true
-			}
-			continue
-		}
-		var w int32
-		if occ != full {
-			w = int32(bits.TrailingZeros64(^occ & full))
-		} else {
-			best := st[0]
-			w = 0
-			for v := 1; v < e.assoc; v++ {
-				if s := st[v]; s < best {
-					w, best = int32(v), s
-				}
-			}
-		}
-		if old := blockAt[w]; old >= 0 {
-			wayOf[old] = -1
-		}
-		wayOf[b] = w
-		blockAt[w] = b
-		occ |= 1 << uint(w)
-		if clock == ^uint32(0) {
-			e.clock[set] = clock
-			e.renorm(set)
-			clock = e.clock[set]
-		}
-		clock++
-		st[w] = clock
-	}
-	e.clock[set] = clock
-	e.occ.words[set] = occ
-	return n
-}
-
-func (e *plruEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
-	word := e.tree[set]
-	occ := e.occ.words[set]
-	full := e.occ.full
-	assoc := e.assoc
-	n := 0
-	for i, b := range seq {
-		if w := wayOf[b]; w >= 0 {
-			way := int(w)
-			node := 1
-			lo, hi := 0, assoc
-			for hi-lo > 1 {
-				mid := (lo + hi) / 2
-				if way < mid {
-					word |= 1 << uint(node)
-					node = 2 * node
-					hi = mid
-				} else {
-					word &^= 1 << uint(node)
-					node = 2*node + 1
-					lo = mid
-				}
-			}
-			n++
-			if hits != nil {
-				hits[i] = true
-			}
-			continue
-		}
-		var w int
-		if occ != full {
-			w = bits.TrailingZeros64(^occ & full)
-		} else {
-			node := 1
-			lo, hi := 0, assoc
-			for hi-lo > 1 {
-				mid := (lo + hi) / 2
-				if word>>uint(node)&1 == 0 {
-					node = 2 * node
-					hi = mid
-				} else {
-					node = 2*node + 1
-					lo = mid
-				}
-			}
-			w = lo
-		}
-		if old := blockAt[w]; old >= 0 {
-			wayOf[old] = -1
-		}
-		wayOf[b] = int32(w)
-		blockAt[w] = b
-		occ |= 1 << uint(w)
-		node := 1
-		lo, hi := 0, assoc
-		for hi-lo > 1 {
-			mid := (lo + hi) / 2
-			if w < mid {
-				word |= 1 << uint(node)
-				node = 2 * node
-				hi = mid
-			} else {
-				word &^= 1 << uint(node)
-				node = 2*node + 1
-				lo = mid
-			}
-		}
-	}
-	e.tree[set] = word
-	e.occ.words[set] = occ
-	return n
-}
-
-func (e *mruEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
-	cand := e.cand[set]
-	occ := e.occ.words[set]
-	full := e.occ.full
-	n := 0
-	for i, b := range seq {
-		if w := wayOf[b]; w >= 0 {
-			word := cand &^ (1 << uint(w))
-			if word == 0 {
-				word = full &^ (1 << uint(w))
-			}
-			cand = word
-			n++
-			if hits != nil {
-				hits[i] = true
-			}
-			continue
-		}
-		var w int
-		switch {
-		case occ != full:
-			w = bits.TrailingZeros64(^occ & full)
-		case cand == 0:
-			w = 0
-		default:
-			w = bits.TrailingZeros64(cand)
-		}
-		if old := blockAt[w]; old >= 0 {
-			wayOf[old] = -1
-		}
-		wayOf[b] = int32(w)
-		blockAt[w] = b
-		occ |= 1 << uint(w)
-		if e.sb && occ != full {
-			cand = full
-			continue
-		}
-		word := cand &^ (1 << uint(w))
-		if word == 0 {
-			word = full &^ (1 << uint(w))
-		}
-		cand = word
-	}
-	e.cand[set] = cand
-	e.occ.words[set] = occ
-	return n
-}
-
-func (e *randomEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
-	occ := e.occ.words[set]
-	full := e.occ.full
-	var r *rand.Rand // materialized only by a full-set miss, like rng(set)
-	n := 0
-	for i, b := range seq {
-		if w := wayOf[b]; w >= 0 {
-			n++
-			if hits != nil {
-				hits[i] = true
-			}
-			continue
-		}
-		var w int
-		if occ != full {
-			w = bits.TrailingZeros64(^occ & full)
-		} else {
-			if r == nil {
-				r = e.rng(set)
-			}
-			w = r.Intn(e.assoc)
-		}
-		if old := blockAt[w]; old >= 0 {
-			wayOf[old] = -1
-		}
-		wayOf[b] = int32(w)
-		blockAt[w] = b
-		occ |= 1 << uint(w)
-	}
-	e.occ.words[set] = occ
-	return n
-}
-
-func (e *qlruEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
+func (e *qlruEngine) accessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
 	// ages/h alias the engine's backing arrays, so the update/renorm
 	// helpers (which age through the bias and histogram) stay coherent
 	// with the hoisted views. The bias itself is reloaded per use — the
@@ -341,74 +115,6 @@ func (e *qlruEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bo
 		if !umo && h[3] == 0 {
 			e.update(set, int(w))
 		}
-	}
-	return n
-}
-
-func (e *duelEngine) AccessBatch(set int, seq, wayOf, blockAt []int32, hits []bool) int {
-	switch e.leader(set) {
-	case 'A':
-		return e.leaderBatch(e.a, true, set, seq, wayOf, blockAt, hits)
-	case 'B':
-		return e.leaderBatch(e.b, false, set, seq, wayOf, blockAt, hits)
-	}
-	// Follower set: PSEL moves only on leader fills, which a single-set
-	// batch cannot contain, so the duel winner is constant for the whole
-	// batch and the lookup hoists out of the loop. Only the winner is
-	// asked for victims (the loser's RNG must not advance); both policies
-	// observe every hit and fill, as in the scalar follower path.
-	win := e.a
-	if e.psel.UseB() {
-		win = e.b
-	}
-	n := 0
-	for i, b := range seq {
-		if w := wayOf[b]; w >= 0 {
-			e.a.OnHit(set, int(w))
-			e.b.OnHit(set, int(w))
-			n++
-			if hits != nil {
-				hits[i] = true
-			}
-			continue
-		}
-		w := int32(win.Victim(set))
-		if old := blockAt[w]; old >= 0 {
-			wayOf[old] = -1
-		}
-		wayOf[b] = w
-		blockAt[w] = b
-		e.a.OnFill(set, int(w))
-		e.b.OnFill(set, int(w))
-	}
-	return n
-}
-
-// leaderBatch plays a batch on a leader set: only the leader's own policy
-// is driven, and every fill bumps PSEL toward the other policy.
-func (e *duelEngine) leaderBatch(p Engine, isA bool, set int, seq, wayOf, blockAt []int32, hits []bool) int {
-	n := 0
-	for i, b := range seq {
-		if w := wayOf[b]; w >= 0 {
-			p.OnHit(set, int(w))
-			n++
-			if hits != nil {
-				hits[i] = true
-			}
-			continue
-		}
-		w := int32(p.Victim(set))
-		if old := blockAt[w]; old >= 0 {
-			wayOf[old] = -1
-		}
-		wayOf[b] = w
-		blockAt[w] = b
-		if isA {
-			e.psel.MissA()
-		} else {
-			e.psel.MissB()
-		}
-		p.OnFill(set, int(w))
 	}
 	return n
 }

@@ -38,15 +38,6 @@ type Engine interface {
 	// cross-set state (the dueling PSEL) to its power-on value. The
 	// caller must Reset (or otherwise invalidate) all sets alongside.
 	Restream()
-	// AccessBatch plays a run of same-set accesses in one call. seq[i]
-	// is the abstract block ID of access i; wayOf (block → way) and
-	// blockAt (way → block) carry the caller's residency mapping with -1
-	// meaning "absent", and are updated in place exactly as the scalar
-	// OnHit/Victim/OnFill protocol would update them. If hits is non-nil
-	// it must have len(seq); hits[i] is set for accesses that hit (never
-	// cleared — callers pass zeroed slices). Returns the hit count.
-	// Decisions are bit-identical to the equivalent per-access calls.
-	AccessBatch(set int, seq []int32, wayOf, blockAt []int32, hits []bool) int
 }
 
 // Spec declaratively describes the replacement policy of a whole cache:
@@ -110,21 +101,6 @@ func newKernel(name string, sets, assoc int, rng RNGFor) (Engine, error) {
 			return newMRUEngine(upper, sets, assoc, false), nil
 		case "MRU*", "MRU_SB":
 			return newMRUEngine(upper, sets, assoc, true), nil
-		}
-	}
-	if assoc > 64 && assoc <= 256 {
-		// Wide-associativity kernels: multi-word occupancy/tree bitmaps,
-		// 16-bit stamps (see kernels_wide.go).
-		switch upper {
-		case "LRU":
-			return newStampEngineW(upper, sets, assoc, false), nil
-		case "FIFO":
-			return newStampEngineW(upper, sets, assoc, true), nil
-		case "PLRU":
-			if assoc&(assoc-1) != 0 {
-				return nil, errNonPow2(assoc)
-			}
-			return newPLRUEngineW(sets, assoc), nil
 		}
 	}
 	// Validate the name eagerly so misconfiguration fails at build time,
@@ -226,7 +202,7 @@ type Single struct {
 	assoc   int
 	wayOf   []int32 // block ID -> way, or -1
 	blockAt []int32 // way -> block ID, or -1
-	seq32   []int32 // reusable AccessBatch input buffer
+	seq32   []int32 // reusable int32 copy of the sequence being played
 }
 
 // NewSingle builds a single-set simulator for a named policy.
@@ -249,12 +225,19 @@ func (s *Single) Name() string { return s.name }
 // Assoc returns the associativity the simulator was built for.
 func (s *Single) Assoc() int { return s.assoc }
 
-func (s *Single) prepare(seq []int) {
+// prepare resets the set and the residency mapping for playing seq, and
+// returns seq widened to int32 in the reusable buffer.
+func (s *Single) prepare(seq []int) []int32 {
+	if cap(s.seq32) < len(seq) {
+		s.seq32 = make([]int32, len(seq))
+	}
+	s.seq32 = s.seq32[:len(seq)]
 	maxB := 0
-	for _, b := range seq {
+	for i, b := range seq {
 		if b >= maxB {
 			maxB = b + 1
 		}
+		s.seq32[i] = int32(b)
 	}
 	if maxB > len(s.wayOf) {
 		s.wayOf = make([]int32, maxB)
@@ -266,73 +249,36 @@ func (s *Single) prepare(seq []int) {
 		s.blockAt[i] = -1
 	}
 	s.eng.Reset(0)
-}
-
-// step plays one access and reports whether it hit.
-func (s *Single) step(b int) bool {
-	if w := s.wayOf[b]; w >= 0 {
-		s.eng.OnHit(0, int(w))
-		return true
-	}
-	w := s.eng.Victim(0)
-	if old := s.blockAt[w]; old >= 0 {
-		s.wayOf[old] = -1
-	}
-	s.wayOf[b] = int32(w)
-	s.blockAt[w] = int32(b)
-	s.eng.OnFill(0, w)
-	return false
-}
-
-// CountHits plays seq against a fresh set and returns the number of hits.
-// Block IDs must be non-negative.
-func (s *Single) CountHits(seq []int) int {
-	s.prepare(seq)
-	hits := 0
-	for _, b := range seq {
-		if s.step(b) {
-			hits++
-		}
-	}
-	return hits
-}
-
-// Simulate plays seq against a fresh set and reports per-access hits.
-func (s *Single) Simulate(seq []int) []bool {
-	s.prepare(seq)
-	hits := make([]bool, len(seq))
-	for i, b := range seq {
-		hits[i] = s.step(b)
-	}
-	return hits
-}
-
-// batchSeq widens seq into the reusable int32 buffer AccessBatch takes.
-func (s *Single) batchSeq(seq []int) []int32 {
-	if cap(s.seq32) < len(seq) {
-		s.seq32 = make([]int32, len(seq))
-	}
-	s.seq32 = s.seq32[:len(seq)]
-	for i, b := range seq {
-		s.seq32[i] = int32(b)
-	}
 	return s.seq32
 }
 
-// CountHitsBatch is CountHits through the engine's batch entry point:
-// one AccessBatch call instead of an interface dispatch per access.
-// Results are bit-identical to CountHits (pinned by
-// TestBatchMatchesScalar); the inference hot paths use this form.
-func (s *Single) CountHitsBatch(seq []int) int {
-	s.prepare(seq)
-	return s.eng.AccessBatch(0, s.batchSeq(seq), s.wayOf, s.blockAt, nil)
+// CountHits plays seq against a fresh set through the scalar per-access
+// protocol and returns the number of hits. Block IDs must be
+// non-negative.
+func (s *Single) CountHits(seq []int) int {
+	return accessScalar(s.eng, 0, s.prepare(seq), s.wayOf, s.blockAt, nil)
 }
 
-// SimulateBatch is Simulate through the engine's batch entry point.
-func (s *Single) SimulateBatch(seq []int) []bool {
-	s.prepare(seq)
+// Simulate plays seq against a fresh set through the scalar per-access
+// protocol and reports per-access hits.
+func (s *Single) Simulate(seq []int) []bool {
 	hits := make([]bool, len(seq))
-	s.eng.AccessBatch(0, s.batchSeq(seq), s.wayOf, s.blockAt, hits)
+	accessScalar(s.eng, 0, s.prepare(seq), s.wayOf, s.blockAt, hits)
+	return hits
+}
+
+// CountHitsBatch is CountHits through the batch driver, which hands the
+// whole sequence to the kernel's own loop where one beats the scalar
+// protocol. Results are bit-identical to CountHits (pinned by
+// TestBatchMatchesScalar); the inference hot paths use this form.
+func (s *Single) CountHitsBatch(seq []int) int {
+	return accessBatch(s.eng, 0, s.prepare(seq), s.wayOf, s.blockAt, nil)
+}
+
+// SimulateBatch is Simulate through the batch driver.
+func (s *Single) SimulateBatch(seq []int) []bool {
+	hits := make([]bool, len(seq))
+	accessBatch(s.eng, 0, s.prepare(seq), s.wayOf, s.blockAt, hits)
 	return hits
 }
 
