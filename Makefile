@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build build-bins test test-short test-race vet lint fuzz-smoke fmt fmt-check ci bench bench-compare profile serve smoke
+.PHONY: build build-bins test test-short test-race test-nbbench vet lint fuzz-smoke fmt fmt-check ci bench bench-compare profile serve smoke
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,11 @@ test-short:
 
 test-race:
 	$(GO) test -race ./...
+
+# nbbench (the end-to-end benchmark, BENCHMARK.json) is its own module, so
+# the root `go test ./...` never reaches its smoke and digest tests.
+test-nbbench:
+	cd nbbench && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -121,4 +126,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet lint build build-bins test-short test
+ci: fmt-check vet lint build build-bins test-short test test-nbbench

@@ -341,6 +341,18 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 
 // evaluate simulates one job on a fresh machine with the given seed.
 func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
+	r, err := freshRunner(j, seed)
+	if err != nil {
+		return nil, err
+	}
+	return r.RunContext(ctx, j.Cfg)
+}
+
+// freshRunner builds the machine and runner one evaluation runs on: a new
+// machine of the job's CPU model with the given seed, its regions mapped
+// for the job's mode and big area. Every evaluation pays this cost, which
+// BenchmarkNewMachine and TestNewMachineFootprint measure.
+func freshRunner(j Job, seed int64) (*nano.Runner, error) {
 	cpu, err := uarch.ByName(j.CPU)
 	if err != nil {
 		return nil, err
@@ -358,7 +370,7 @@ func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
 			return nil, err
 		}
 	}
-	return r.RunContext(ctx, j.Cfg)
+	return r, nil
 }
 
 // deque is a mutex-guarded work-stealing deque of units: the owner pops

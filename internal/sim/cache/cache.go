@@ -142,7 +142,9 @@ type Cache struct {
 	flags []uint8
 
 	// epoch implements O(1) whole-cache invalidation (WBINVD): sets whose
-	// setEpoch lags are cleared lazily on first touch.
+	// setEpoch lags are cleared lazily on first touch. A new cache starts
+	// one epoch ahead of its zeroed setEpoch, so the same path initializes
+	// each set on its first touch and construction never walks the tags.
 	epoch      uint32
 	setEpoch   []uint32
 	setValid   []int32
@@ -172,13 +174,11 @@ func New(geom Geometry, slice int, pf PolicyFactory, seed int64) (*Cache, error)
 		flags:    make([]uint8, nSets*geom.Assoc),
 		setEpoch: make([]uint32, nSets),
 		setValid: make([]int32, nSets),
+		epoch:    1,
 		seed:     seed,
 	}
 	for ls := geom.LineSize; ls > 1; ls >>= 1 {
 		c.lineBits++
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
 	}
 	rngFor := func(set int) *rand.Rand {
 		return policy.NewSetRand(c.seed, c.Slice, set, c.stream)

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -308,4 +310,68 @@ func TestHierarchyConfigValidation(t *testing.T) {
 	if _, err := NewHierarchy(cfg, 1); err == nil {
 		t.Error("expected line-size mismatch error")
 	}
+}
+
+// TestLazySetInitMatchesEager pins New's lazy set initialization — a new
+// cache starts one epoch ahead, so ensure clears every set on its first
+// touch — against eager initialization: the same cache with every tag
+// written invalid up front and no set pending. Both must answer every
+// operation identically and hold the same lines after it.
+func TestLazySetInitMatchesEager(t *testing.T) {
+	geom := testGeom("t", 32<<10, 8, 4)
+	for _, name := range []string{"LRU", "FIFO", "PLRU", "MRU", "MRU*", "RANDOM", "QLRU_H11_M1_R0_U0", "QLRU_H00_M1_R2_U1"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			lazy, err := New(geom, 0, SimplePolicy(name), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager, err := New(geom, 0, SimplePolicy(name), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager.epoch = 0
+			for i := range eager.tags {
+				eager.tags[i] = invalidTag
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for op := 0; op < 3000; op++ {
+				// 64 sets × 12 tags, line 0 included: every set is first
+				// touched at a different point of the stream, and sets
+				// thrash. WBINVD is rare, so most sets run long on their
+				// first-touch state.
+				a, flag := uint64(rng.Intn(64*12))<<6, rng.Intn(4) == 0
+				var got, want string
+				switch r := rng.Intn(200); {
+				case r < 120:
+					got, want = fmt.Sprint(lazy.Access(a, flag)), fmt.Sprint(eager.Access(a, flag))
+				case r < 150:
+					got, want = fmt.Sprint(lazy.Fill(a, flag)), fmt.Sprint(eager.Fill(a, flag))
+				case r < 170:
+					got, want = fmt.Sprint(lazy.InvalidateLine(a)), fmt.Sprint(eager.InvalidateLine(a))
+				case r < 199:
+					got, want = fmt.Sprint(lazy.Probe(a)), fmt.Sprint(eager.Probe(a))
+				default:
+					got, want = fmt.Sprint(lazy.InvalidateAll()), fmt.Sprint(eager.InvalidateAll())
+				}
+				if got != want || lazy.ValidLines() != eager.ValidLines() {
+					t.Fatalf("%s seed %d op %d at %#x: lazy %s (%d valid), eager %s (%d valid)",
+						name, seed, op, a, got, lazy.ValidLines(), want, eager.ValidLines())
+				}
+				for i := range lazy.tags {
+					if l, e := effectiveTag(lazy, i), effectiveTag(eager, i); l != e {
+						t.Fatalf("%s seed %d op %d: line %d holds tag %#x, eager %#x", name, seed, op, i, l, e)
+					}
+				}
+			}
+		}
+	}
+}
+
+// effectiveTag returns the tag line i holds: invalidTag if its set still
+// waits for its epoch clear.
+func effectiveTag(c *Cache, i int) uint64 {
+	if c.setEpoch[i/c.assoc] != c.epoch {
+		return invalidTag
+	}
+	return c.tags[i]
 }

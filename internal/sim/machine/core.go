@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -614,19 +615,11 @@ func (m *Machine) load(addr uint32, size int, addrReady int64) (uint64, int64, c
 	}
 	start, done := m.dispatch(x86.PortsLoad, ready, lat, 1)
 	_ = start
-	var v uint64
-	switch size {
-	case 8:
-		v, _ = m.Mem.Read64(addr)
-	default:
-		var buf [8]byte
-		if !m.Mem.Read(addr, buf[:size]) {
-			return 0, 0, res, &Fault{RIP: c.rip, Reason: "#PF: partial load"}
-		}
-		for i := size - 1; i >= 0; i-- {
-			v = v<<8 | uint64(buf[i])
-		}
+	var buf [8]byte
+	if !m.Mem.Read(addr, buf[:size]) {
+		return 0, 0, res, &Fault{RIP: c.rip, Reason: "#PF: partial load"}
 	}
+	v := binary.LittleEndian.Uint64(buf[:])
 	m.recordLoadEvents(res)
 	return v, done, res, nil
 }

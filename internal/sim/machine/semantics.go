@@ -91,7 +91,10 @@ func (m *Machine) execMove(d *x86.DecodedInstr) error {
 				}
 				var hi uint64
 				if d.Op == x86.MOVAPS {
-					hi, _ = m.Mem.Read64(addr + 8)
+					var ok bool
+					if hi, ok = m.Mem.Read64(addr + 8); !ok {
+						return &Fault{RIP: c.rip, Reason: "#PF: partial vector load"}
+					}
 				}
 				c.xmm[dst-x86.XMM0] = [2]uint64{v, hi}
 				c.xmmReady[dst-x86.XMM0] = done
@@ -154,14 +157,22 @@ func (m *Machine) execMove(d *x86.DecodedInstr) error {
 		case x86.ArgI:
 			val = uint64(d.Imm)
 		}
+		if writeHi {
+			// Both halves of a 16-byte store commit or neither does: a
+			// high half reaching an unmapped page faults before the low
+			// half is written (16 bytes touch at most two pages).
+			if _, ok := m.Mem.Translate(addr); ok {
+				if _, ok := m.Mem.Translate(addr + 15); !ok {
+					return &Fault{RIP: c.rip, Reason: "#PF: partial vector store"}
+				}
+			}
+		}
 		done, err := m.store(addr, 8, val, aready, vready)
 		if err != nil {
 			return err
 		}
 		if writeHi {
-			if !m.Mem.Write64(addr+8, hi) {
-				return &Fault{RIP: c.rip, Reason: "#PF: partial vector store"}
-			}
+			m.Mem.Write64(addr+8, hi)
 			m.noteCodeWrite(addr+8, 8)
 		}
 		m.retire(done)
@@ -677,7 +688,10 @@ func (m *Machine) execSSE(d *x86.DecodedInstr) error {
 		if err != nil {
 			return err
 		}
-		hi, _ := m.Mem.Read64(addr + 8)
+		hi, ok := m.Mem.Read64(addr + 8)
+		if !ok {
+			return &Fault{RIP: c.rip, Reason: "#PF: partial vector load"}
+		}
 		src = [2]uint64{lo, hi}
 		sready = done
 	}

@@ -42,8 +42,9 @@ func NewAllocator(physSize, reserved uint64, rng *rand.Rand) *Allocator {
 
 // Reboot restores the pristine, ordered freelist state.
 func (a *Allocator) Reboot() {
-	for i := range a.pageUsed {
-		a.pageUsed[i] = uint64(i) < a.reserved
+	clear(a.pageUsed)
+	for i := range a.pageUsed[:min(a.reserved, uint64(len(a.pageUsed)))] {
+		a.pageUsed[i] = true
 	}
 	a.rover = a.reserved
 }

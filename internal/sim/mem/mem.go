@@ -17,18 +17,38 @@ const PageSize = 4096
 // so absolute disp32 addressing works); physical addresses are 64-bit but
 // bounded by the configured physical size.
 //
-// Physical storage is sparse: frames materialize on first write and reads
-// of untouched frames return zeros, exactly as if the whole array had been
-// zeroed eagerly. Eager allocation would make building a machine cost a
-// PhysMem-sized memclr — prohibitive for a scheduler pool that builds one
-// machine per job.
+// Both the page table and the physical storage are sparse, so a fresh
+// Memory costs what it touches rather than what it models. The page table
+// and the frame store are two-level: a small directory of leaves, each
+// covering leafSize pages. A page-table leaf materializes on the first Map
+// into its range; a frame-store leaf, and the frame itself, on the first
+// write. Reads of untouched frames return zeros, exactly as if the whole
+// array had been zeroed eagerly. Dense tables would make building a
+// machine cost a 2 MB page-table fill plus a PhysMem-sized frame directory
+// for the garbage collector to scan — prohibitive for a scheduler that
+// builds one machine per job.
 type Memory struct {
 	physSize uint64
-	// frames holds per-page physical storage, nil until first written.
-	frames [][]byte
-	// pt maps virtual page number to physical page number; -1 = unmapped.
-	pt []int32
+	virtSize uint64
+	// pt maps a virtual page number to pfn+1 (0 = unmapped) through
+	// pt[vpn/leafSize][vpn%leafSize]; nil leaves are wholly unmapped. The
+	// directory spans the whole 32-bit space, so Translate indexes it
+	// without a bounds check; Map never fills entries at or above
+	// virtSize.
+	pt [1 << 32 / (leafSize * PageSize)]*ptLeaf
+	// frames holds per-page physical storage through
+	// frames[pfn/leafSize][pfn%leafSize]; nil until first written.
+	frames []*frameLeaf
 }
+
+// leafSize is the number of pages one page-table or frame-store leaf
+// covers (4 MB of address space).
+const leafSize = 1024
+
+type (
+	ptLeaf    [leafSize]uint32
+	frameLeaf [leafSize]*[PageSize]byte
+)
 
 // NewMemory creates a memory with the given physical size and virtual
 // address-space size, both multiples of the page size.
@@ -39,15 +59,14 @@ func NewMemory(physSize, virtSize uint64) (*Memory, error) {
 	if virtSize > 1<<31 {
 		return nil, fmt.Errorf("mem: virtual address space must fit below 2 GB")
 	}
-	m := &Memory{
+	if physSize/PageSize >= 1<<32 {
+		return nil, fmt.Errorf("mem: physical memory must be below %d pages", uint64(1)<<32)
+	}
+	return &Memory{
 		physSize: physSize,
-		frames:   make([][]byte, physSize/PageSize),
-		pt:       make([]int32, virtSize/PageSize),
-	}
-	for i := range m.pt {
-		m.pt[i] = -1
-	}
-	return m, nil
+		virtSize: virtSize,
+		frames:   make([]*frameLeaf, (physSize/PageSize+leafSize-1)/leafSize),
+	}, nil
 }
 
 // PhysSize returns the physical memory size in bytes.
@@ -56,20 +75,28 @@ func (m *Memory) PhysSize() uint64 { return m.physSize }
 var zeroFrame [PageSize]byte
 
 // readFrame returns the page backing pfn for reading (the shared zero
-// frame when untouched).
-func (m *Memory) readFrame(pfn uint64) []byte {
-	if f := m.frames[pfn]; f != nil {
-		return f
+// frame when untouched). Callers must not write through it.
+func (m *Memory) readFrame(pfn uint64) *[PageSize]byte {
+	if leaf := m.frames[pfn/leafSize]; leaf != nil {
+		if f := leaf[pfn%leafSize]; f != nil {
+			return f
+		}
 	}
-	return zeroFrame[:]
+	return &zeroFrame
 }
 
-// writeFrame returns the page backing pfn for writing, materializing it.
-func (m *Memory) writeFrame(pfn uint64) []byte {
-	f := m.frames[pfn]
+// writeFrame returns the page backing pfn for writing, materializing it
+// (and its leaf).
+func (m *Memory) writeFrame(pfn uint64) *[PageSize]byte {
+	leaf := m.frames[pfn/leafSize]
+	if leaf == nil {
+		leaf = new(frameLeaf)
+		m.frames[pfn/leafSize] = leaf
+	}
+	f := leaf[pfn%leafSize]
 	if f == nil {
-		f = make([]byte, PageSize)
-		m.frames[pfn] = f
+		f = new([PageSize]byte)
+		leaf[pfn%leafSize] = f
 	}
 	return f
 }
@@ -103,11 +130,17 @@ func (m *Memory) Map(virt uint32, phys uint64, size uint64) error {
 	if phys+size > m.physSize {
 		return fmt.Errorf("mem: mapping beyond physical memory (phys=%#x size=%#x)", phys, size)
 	}
-	if uint64(virt)+size > uint64(len(m.pt))*PageSize {
+	if uint64(virt)+size > m.virtSize {
 		return fmt.Errorf("mem: mapping beyond virtual address space (virt=%#x size=%#x)", virt, size)
 	}
 	for off := uint64(0); off < size; off += PageSize {
-		m.pt[(uint64(virt)+off)/PageSize] = int32((phys + off) / PageSize)
+		vpn := (uint64(virt) + off) / PageSize
+		leaf := m.pt[vpn/leafSize]
+		if leaf == nil {
+			leaf = new(ptLeaf)
+			m.pt[vpn/leafSize] = leaf
+		}
+		leaf[vpn%leafSize] = uint32((phys+off)/PageSize) + 1
 	}
 	return nil
 }
@@ -116,78 +149,61 @@ func (m *Memory) Map(virt uint32, phys uint64, size uint64) error {
 func (m *Memory) Unmap(virt uint32, size uint64) {
 	for off := uint64(0); off < size; off += PageSize {
 		vpn := (uint64(virt) + off) / PageSize
-		if vpn < uint64(len(m.pt)) {
-			m.pt[vpn] = -1
+		if i := vpn / leafSize; i < uint64(len(m.pt)) && m.pt[i] != nil {
+			m.pt[i][vpn%leafSize] = 0
 		}
 	}
 }
 
 // Translate translates a virtual address to a physical address.
 func (m *Memory) Translate(virt uint32) (uint64, bool) {
-	vpn := virt / PageSize
-	if uint64(vpn) >= uint64(len(m.pt)) {
-		return 0, false
+	if leaf := m.pt[virt/(leafSize*PageSize)]; leaf != nil {
+		if e := leaf[virt/PageSize%leafSize]; e != 0 {
+			return uint64(e-1)*PageSize + uint64(virt%PageSize), true
+		}
 	}
-	pfn := m.pt[vpn]
-	if pfn < 0 {
-		return 0, false
-	}
-	return uint64(pfn)*PageSize + uint64(virt%PageSize), true
+	return 0, false
 }
 
-// contiguous reports whether the n bytes at virt are virtually mapped to
-// physically contiguous memory and translates the base.
-func (m *Memory) translateSpan(virt uint32, n int) (uint64, bool) {
-	p0, ok := m.Translate(virt)
-	if !ok {
-		return 0, false
-	}
-	last := virt + uint32(n) - 1
-	if virt/PageSize == last/PageSize {
-		return p0, true
-	}
-	pl, ok := m.Translate(last)
-	if !ok {
-		return 0, false
-	}
-	if pl-p0 != uint64(last-virt) {
-		return 0, false // spans non-contiguous pages; caller uses slow path
-	}
-	return p0, true
-}
-
-// Read copies n bytes at virtual address virt into dst. It returns false
-// on an unmapped access (a simulated fault).
+// Read copies len(dst) bytes at virtual address virt into dst, page by
+// page. It returns false on an unmapped access (a simulated fault).
 func (m *Memory) Read(virt uint32, dst []byte) bool {
-	if p, ok := m.translateSpan(virt, len(dst)); ok {
-		m.physRead(p, dst)
-		return true
-	}
-	for i := range dst {
-		p, ok := m.Translate(virt + uint32(i))
+	for len(dst) > 0 {
+		p, ok := m.Translate(virt)
 		if !ok {
 			return false
 		}
-		dst[i] = m.readFrame(p / PageSize)[p%PageSize]
+		n := copy(dst, m.readFrame(p / PageSize)[p%PageSize:])
+		dst = dst[n:]
+		virt += uint32(n)
 	}
 	return true
 }
 
-// Write copies src to virtual address virt. It returns false on an
-// unmapped access.
+// Write copies src to virtual address virt, page by page. It returns false
+// on an unmapped access; every page is translated before the first byte is
+// written, so a faulting write leaves memory unchanged.
 func (m *Memory) Write(virt uint32, src []byte) bool {
-	if p, ok := m.translateSpan(virt, len(src)); ok {
-		m.physWrite(p, src)
+	if len(src) == 0 {
 		return true
 	}
-	for i := range src {
-		p, ok := m.Translate(virt + uint32(i))
-		if !ok {
+	p, ok := m.Translate(virt)
+	if !ok {
+		return false
+	}
+	for a := uint64(virt)/PageSize*PageSize + PageSize; a < uint64(virt)+uint64(len(src)); a += PageSize {
+		if _, ok := m.Translate(uint32(a)); !ok {
 			return false
 		}
-		m.writeFrame(p / PageSize)[p%PageSize] = src[i]
 	}
-	return true
+	for {
+		n := copy(m.writeFrame(p / PageSize)[p%PageSize:], src)
+		if src = src[n:]; len(src) == 0 {
+			return true
+		}
+		virt += uint32(n)
+		p, _ = m.Translate(virt)
+	}
 }
 
 // Read64 reads a 64-bit little-endian value at virt.

@@ -76,9 +76,19 @@ func TestReadWrite(t *testing.T) {
 	if !ok || v != 0x1122334455667788 {
 		t.Fatalf("cross-page Read64 = %#x", v)
 	}
-	// Cross-page onto unmapped page.
-	if m.Write64(0x11FFC, 1) {
+	// Cross-page onto unmapped page: the write fails and commits nothing,
+	// not even the bytes that land on the mapped page.
+	if !m.Write64(0x11FF8, 0xA5A5A5A5A5A5A5A5) {
+		t.Fatal("write failed")
+	}
+	if m.Write64(0x11FFC, 0x1122334455667788) {
 		t.Fatal("write spanning unmapped page should fail")
+	}
+	if v, ok := m.Read64(0x11FF8); !ok || v != 0xA5A5A5A5A5A5A5A5 {
+		t.Fatalf("failed write changed memory: Read64 = %#x, %v", v, ok)
+	}
+	if _, ok := m.Read64(0x11FFC); ok {
+		t.Fatal("read spanning unmapped page should fail")
 	}
 	if _, ok := m.Read64(0x7000); ok {
 		t.Fatal("read of unmapped address should fail")
