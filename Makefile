@@ -93,9 +93,10 @@ bench-compare: BENCH_10.json
 BENCH_10.json:
 	$(MAKE) bench
 
-# CPU and allocation profiles of the two hot paths — the cache-policy
-# sweeps and the µop step loop — written to bench/profiles/ next to the
-# test binaries pprof needs for symbols. Reading them: docs/PROFILING.md.
+# CPU and allocation profiles of the three hot paths — the cache-policy
+# sweeps, the µop step loop and the sched evaluation path — written to
+# bench/profiles/ next to the test binaries pprof needs for symbols.
+# Reading them: docs/PROFILING.md.
 profile:
 	mkdir -p bench/profiles
 	$(GO) test -bench 'BenchmarkTableIPolicies|BenchmarkFigure1AgeGraph|BenchmarkSetDueling' \
@@ -106,6 +107,10 @@ profile:
 		-o bench/profiles/step.test \
 		-cpuprofile bench/profiles/step.cpu.pprof \
 		-memprofile bench/profiles/step.alloc.pprof ./internal/sim/machine
+	$(GO) test -bench BenchmarkEvaluate -benchtime 2s -run '^$$' \
+		-o bench/profiles/sched.test \
+		-cpuprofile bench/profiles/sched.cpu.pprof \
+		-memprofile bench/profiles/sched.alloc.pprof ./internal/sched
 
 # Run the HTTP benchmarking service locally (wire contract: docs/API.md).
 serve:

@@ -1,7 +1,7 @@
 // Port usage: measure which execution ports a handful of instructions
 // dispatch to, the way case study I does for the full instruction table.
-// The four benchmarks run as one session batch, in parallel across the
-// session's machine pool, with deterministic results.
+// The four benchmarks run as one session batch, in parallel, with
+// deterministic results.
 //
 //	go run nanobench/examples/portusage
 package main

@@ -383,9 +383,10 @@ func MeasureAll(r *nano.Runner) ([]Measurement, error) {
 }
 
 // Sweep characterizes every variant by fanning the per-variant latency and
-// throughput evaluations out through the batch scheduler, one fresh
-// independently-seeded machine per evaluation. Results are deterministic
-// for any worker count (see the sched package documentation).
+// throughput evaluations out through the batch scheduler, each on an
+// independently-seeded machine in the state of a fresh build. Results are
+// deterministic for any worker count (see the sched package
+// documentation).
 func Sweep(cpuName string, mode machine.Mode, opts sched.Options) ([]Measurement, error) {
 	return SweepVariants(cpuName, mode, Variants(), opts)
 }

@@ -4,7 +4,9 @@
 // independently-seeded simulated machines, one live machine per in-flight
 // job (a machine.Machine is single-threaded), and memoizes results in a
 // content-addressed cache so repeated sweeps hit memory instead of
-// re-simulating.
+// re-simulating. Machines are reused across evaluations: before each
+// use, machine.(*Machine).Reset puts a pooled machine in exactly the
+// state a fresh build with the job's seed has.
 //
 // # Seeding and determinism contract
 //
@@ -339,28 +341,68 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 	}
 }
 
-// evaluate simulates one job on a fresh machine with the given seed.
-func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
-	r, err := freshRunner(j, seed)
-	if err != nil {
-		return nil, err
+// machines pools evaluation machines per CPU model, keyed by catalog
+// name. The map is filled once at start-up and only read afterwards; each
+// sync.Pool is safe for the workers, shards and handlers that share it.
+// Only machines evaluate builds are pooled: a machine handed to a caller
+// is never reused behind its back.
+var machines = func() map[string]*sync.Pool {
+	pools := map[string]*sync.Pool{}
+	for _, cpu := range append(uarch.Table1(), uarch.Zen()) {
+		pools[cpu.Name] = new(sync.Pool)
 	}
-	return r.RunContext(ctx, j.Cfg)
-}
+	return pools
+}()
 
-// freshRunner builds the machine and runner one evaluation runs on: a new
-// machine of the job's CPU model with the given seed, its regions mapped
-// for the job's mode and big area. Every evaluation pays this cost, which
-// BenchmarkNewMachine and TestNewMachineFootprint measure.
-func freshRunner(j Job, seed int64) (*nano.Runner, error) {
+// evaluate simulates one job on a machine in exactly the state a fresh
+// build with the given seed has: a machine of the job's CPU model from the
+// pool, reset for the seed, or a new one when the pool is empty. The
+// machine goes back to the pool once the run returns; results never
+// reference machine memory.
+func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
 	cpu, err := uarch.ByName(j.CPU)
 	if err != nil {
 		return nil, err
 	}
+	pool := machines[cpu.Name]
+	var r *nano.Runner
+	if m, ok := pool.Get().(*machine.Machine); ok {
+		r, err = resetRunner(m, j, seed)
+	} else {
+		r, err = buildRunner(cpu, j, seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.RunContext(ctx, j.Cfg)
+	pool.Put(r.M)
+	return res, err
+}
+
+// buildRunner builds a new machine of the CPU model with the given seed
+// and a runner on it for the job. It is the cold path evaluate takes when
+// the pool is empty; BenchmarkNewMachine and TestNewMachineFootprint
+// measure it.
+func buildRunner(cpu uarch.CPU, j Job, seed int64) (*nano.Runner, error) {
 	m, err := cpu.NewMachine(seed)
 	if err != nil {
 		return nil, err
 	}
+	return newRunner(m, j)
+}
+
+// resetRunner resets a used machine to the state a fresh build with the
+// given seed has and puts a runner for the job on it: the pooled path.
+func resetRunner(m *machine.Machine, j Job, seed int64) (*nano.Runner, error) {
+	if err := m.Reset(seed); err != nil {
+		return nil, err
+	}
+	return newRunner(m, j)
+}
+
+// newRunner maps the job's regions on a fresh machine: the runner for its
+// mode, plus the big area when the job asks for one.
+func newRunner(m *machine.Machine, j Job) (*nano.Runner, error) {
 	r, err := nano.NewRunner(m, j.Mode)
 	if err != nil {
 		return nil, err

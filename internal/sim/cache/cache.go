@@ -152,7 +152,8 @@ type Cache struct {
 
 	eng policy.Engine
 	// seed/stream parameterize the per-set RNG streams (policy.SetSeed);
-	// Restream bumps stream to re-derive them.
+	// Restream bumps stream to re-derive them, and Hierarchy.Reseed sets
+	// seed before restreaming.
 	seed   int64
 	stream int64
 }
@@ -353,8 +354,7 @@ func (c *Cache) InvalidateLine(phys uint64) (present, dirty bool) {
 // number of lines that were valid (used to model WBINVD latency).
 func (c *Cache) InvalidateAll() int {
 	n := c.validCount
-	c.epoch++
-	c.validCount = 0
+	c.bumpEpoch()
 	return n
 }
 
@@ -366,9 +366,22 @@ func (c *Cache) InvalidateAll() int {
 // byte-identical results at any worker count.
 func (c *Cache) Restream(stream int64) {
 	c.stream = stream
-	c.epoch++
-	c.validCount = 0
+	c.bumpEpoch()
 	c.eng.Restream()
+}
+
+// bumpEpoch makes every set stale and empties the cache. When the epoch
+// wraps, the per-set epochs are cleared as well: otherwise a set last
+// cleared exactly 2^32 bumps ago would look current and serve its old
+// lines. A pooled machine's caches outlive one evaluation and bump the
+// epoch on every reset and every WBINVD, so the wrap is reachable.
+func (c *Cache) bumpEpoch() {
+	c.epoch++
+	if c.epoch == 0 {
+		clear(c.setEpoch)
+		c.epoch = 1
+	}
+	c.validCount = 0
 }
 
 // ValidLines counts the currently valid lines (for tests and WBINVD cost).

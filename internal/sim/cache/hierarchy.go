@@ -64,28 +64,46 @@ func NewHierarchy(cfg Config, seed int64) (*Hierarchy, error) {
 		Prefetcher: NewPrefetcher(cfg.PrefetchDegree),
 		lineSize:   cfg.L1D.LineSize,
 	}
-	// Each level gets its own derived root so (slice, set) pairs at
-	// different levels (L1I, L1D, and L2 are all slice 0) never share an
-	// RNG stream; L3 slices are differentiated by their slice index.
-	levelSeed := func(level int) int64 { return policy.SetSeed(seed, 0, 0, int64(level)) }
 	var err error
-	if h.L1I, err = New(cfg.L1I, 0, cfg.L1IPolicy, levelSeed(0)); err != nil {
+	if h.L1I, err = New(cfg.L1I, 0, cfg.L1IPolicy, 0); err != nil {
 		return nil, err
 	}
-	if h.L1D, err = New(cfg.L1D, 0, cfg.L1DPolicy, levelSeed(1)); err != nil {
+	if h.L1D, err = New(cfg.L1D, 0, cfg.L1DPolicy, 0); err != nil {
 		return nil, err
 	}
-	if h.L2, err = New(cfg.L2, 0, cfg.L2Policy, levelSeed(2)); err != nil {
+	if h.L2, err = New(cfg.L2, 0, cfg.L2Policy, 0); err != nil {
 		return nil, err
 	}
 	for s := 0; s < cfg.L3Slices; s++ {
-		c, err := New(cfg.L3, s, cfg.L3Policy, levelSeed(3))
+		c, err := New(cfg.L3, s, cfg.L3Policy, 0)
 		if err != nil {
 			return nil, err
 		}
 		h.L3 = append(h.L3, c)
 	}
+	h.Reseed(seed)
 	return h, nil
+}
+
+// Reseed restores the hierarchy to exactly the state NewHierarchy builds
+// for seed, whatever it simulated before: every level takes its derived
+// seed and restreams to stream 0 (an epoch bump, fresh per-set RNG
+// streams, the PSEL reset), and the prefetcher is rebuilt, which also
+// re-enables it. NewHierarchy itself ends with Reseed, so the fresh state
+// has one definition.
+func (h *Hierarchy) Reseed(seed int64) {
+	// Each level gets its own derived root so (slice, set) pairs at
+	// different levels (L1I, L1D, and L2 are all slice 0) never share an
+	// RNG stream; L3 slices are differentiated by their slice index.
+	levelSeed := func(level int) int64 { return policy.SetSeed(seed, 0, 0, int64(level)) }
+	h.L1I.seed = levelSeed(0)
+	h.L1D.seed = levelSeed(1)
+	h.L2.seed = levelSeed(2)
+	for _, c := range h.L3 {
+		c.seed = levelSeed(3)
+	}
+	h.Restream(0)
+	*h.Prefetcher = *NewPrefetcher(h.Prefetcher.Degree)
 }
 
 // Restream invalidates every level and re-derives all per-set policy RNG

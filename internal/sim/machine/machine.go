@@ -157,7 +157,9 @@ type decEntry struct {
 }
 
 // New builds a machine from the spec. The low megabyte of physical memory
-// is reserved for the machine itself (interrupt-handler working set).
+// is reserved for the machine itself (interrupt-handler working set). New
+// allocates the machine's parts and then calls Reset, which alone defines
+// the fresh state.
 func New(spec Spec) (*Machine, error) {
 	if spec.NumProgCounters <= 0 {
 		return nil, fmt.Errorf("machine: need at least one programmable counter")
@@ -183,29 +185,58 @@ func New(spec Spec) (*Machine, error) {
 		return nil, fmt.Errorf("machine: L1I line size %d is not a power of two", lineSz)
 	}
 	m := &Machine{
-		Spec:            spec,
-		Mem:             memory,
-		Alloc:           mem.NewAllocator(spec.PhysMem, 1<<20, rng),
-		Hier:            hier,
-		PMU:             pmu.New(spec.NumProgCounters, spec.RefRatio),
-		rng:             rng,
-		msr:             map[uint32]uint64{},
-		decCache:        map[uint32]*decEntry{},
-		decMemo:         map[decKey]x86.DecodedInstr{},
-		MaxInstructions: 64 << 20,
-		lineShift:       lineShift,
-		irqScratch:      0x40000, // inside the reserved low megabyte
+		Spec:       spec,
+		Mem:        memory,
+		Alloc:      mem.NewAllocator(spec.PhysMem, 1<<20, rng),
+		Hier:       hier,
+		rng:        rng,
+		msr:        map[uint32]uint64{},
+		decCache:   map[uint32]*decEntry{},
+		decMemo:    map[decKey]x86.DecodedInstr{},
+		lineShift:  lineShift,
+		irqScratch: 0x40000, // inside the reserved low megabyte
 	}
-	for i := 0; i < spec.Cache.L3Slices; i++ {
+	if err := m.Reset(spec.Seed); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reset restores exactly the state New builds for the machine's spec with
+// the given seed, whatever the machine ran before, so a scheduler can
+// reuse one machine across evaluations. Everything is re-initialized in
+// place; only the content-keyed decode memo survives, because decoding is
+// a pure function of the code bytes (the trace-mode scratch buffers hold
+// nothing between blocks). The order of the RNG draws matches a fresh
+// build.
+func (m *Machine) Reset(seed int64) error {
+	m.Spec.Seed = seed
+	// Reseed in place: the allocator draws from the same *rand.Rand.
+	m.rng.Seed(seed)
+	m.Mem.Reset()
+	m.Alloc.Reboot()
+	m.Hier.Reseed(seed)
+	m.PMU = pmu.New(m.Spec.NumProgCounters, m.Spec.RefRatio)
+	m.CBox = m.CBox[:0]
+	for i := 0; i < m.Spec.Cache.L3Slices; i++ {
 		m.CBox = append(m.CBox, pmu.NewCBox())
 	}
+	clear(m.msr)
+	m.core = coreState{}
+	m.prog.drop()
+	m.decVersion = 0
+	clear(m.decCache)
+	m.mode, m.ifEn, m.cr4pce = User, false, false
+	m.SetEngine(EngineTrace)
+	m.MaxInstructions = 64 << 20
+	m.sink = nil
 	// Machine-owned stack: map it at identical phys addresses inside the
 	// reserved region.
 	if err := m.Mem.Map(StackBase, 0x10000, StackSize); err != nil {
-		return nil, err
+		return err
 	}
 	m.scheduleIrq()
-	return m, nil
+	return nil
 }
 
 // SetMode selects the privilege mode subsequent runs execute in. Kernel

@@ -69,6 +69,14 @@ func NewMemory(physSize, virtSize uint64) (*Memory, error) {
 	}, nil
 }
 
+// Reset restores the state NewMemory builds: every page unmapped and all
+// physical memory zero. It drops every page-table and frame-store leaf,
+// so its cost, like a fresh Memory's, is independent of the modelled size.
+func (m *Memory) Reset() {
+	clear(m.pt[:])
+	clear(m.frames)
+}
+
 // PhysSize returns the physical memory size in bytes.
 func (m *Memory) PhysSize() uint64 { return m.physSize }
 

@@ -11,10 +11,12 @@ import (
 )
 
 // A Session evaluates microbenchmarks on one CPU model in one privilege
-// mode. It owns its machine pool (one independently-seeded simulated
-// machine per in-flight evaluation), its scheduler, and its result cache;
-// two sessions never share mutable state unless they were given the same
-// cache via WithCache. A Session is safe for concurrent use.
+// mode. It owns its scheduler and its result cache. Each in-flight
+// evaluation runs on its own independently-seeded simulated machine,
+// taken from the scheduler's process-wide pool and reset to exactly the
+// state of a fresh build, so two sessions never share state that can
+// change a result unless they were given the same cache via WithCache.
+// A Session is safe for concurrent use.
 //
 // All evaluation methods take a context.Context: cancellation or a
 // deadline aborts between individual benchmark runs, completed results
@@ -164,11 +166,12 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res[0], nil
 }
 
-// RunBatch evaluates the configurations in parallel across the session's
-// machine pool and returns the results in config order, byte-identical
-// for any parallelism level. Failed configs leave a nil entry and their
-// errors are joined into the returned error; on context cancellation the
-// completed results are still returned alongside the context error.
+// RunBatch evaluates the configurations in parallel, one machine per
+// in-flight evaluation, and returns the results in config order,
+// byte-identical for any parallelism level. Failed configs leave a nil
+// entry and their errors are joined into the returned error; on context
+// cancellation the completed results are still returned alongside the
+// context error.
 func (s *Session) RunBatch(ctx context.Context, cfgs []Config) ([]*Result, error) {
 	return s.exec.RunContext(ctx, s.jobs(cfgs))
 }
