@@ -94,12 +94,12 @@ BENCH_10.json:
 	$(MAKE) bench
 
 # CPU and allocation profiles of the three hot paths — the cache-policy
-# sweeps, the µop step loop and the sched evaluation path — written to
-# bench/profiles/ next to the test binaries pprof needs for symbols.
-# Reading them: docs/PROFILING.md.
+# sweeps and campaign, the µop step loop and the sched evaluation path —
+# written to bench/profiles/ next to the test binaries pprof needs for
+# symbols. Reading them: docs/PROFILING.md.
 profile:
 	mkdir -p bench/profiles
-	$(GO) test -bench 'BenchmarkTableIPolicies|BenchmarkFigure1AgeGraph|BenchmarkSetDueling' \
+	$(GO) test -bench 'BenchmarkTableIPolicies|BenchmarkFigure1AgeGraph|BenchmarkSetDueling|BenchmarkPolicyCampaign' \
 		-benchtime 1x -run '^$$' -o bench/profiles/cache.test \
 		-cpuprofile bench/profiles/cache.cpu.pprof \
 		-memprofile bench/profiles/cache.alloc.pprof .

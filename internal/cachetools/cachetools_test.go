@@ -334,3 +334,30 @@ func TestDuelingHaswellSliceDifference(t *testing.T) {
 		}
 	}
 }
+
+// TestRunOnceSeqAllocs bounds the cost of the run-once programs policy
+// campaigns are made of: on a used Skylake tool, a cacheSeq image never
+// run before — a new 40-access L3 sequence, so no recorded trace to
+// replay and every trace block built afresh — allocates at most 1,000
+// objects per RunSeq. Trace blocks that reuse the storage earlier images
+// left keep it there; building each block with its own slot arrays costs
+// about 2,200.
+func TestRunOnceSeqAllocs(t *testing.T) {
+	tool := newTool(t, "Skylake")
+	rng := rand.New(rand.NewSource(5))
+	runOnce := func() {
+		seq := Seq{WbInvd: true}
+		for i := 0; i < 40; i++ {
+			seq.Accesses = append(seq.Accesses, Access{Block: rng.Intn(24), Measured: i >= 8})
+		}
+		if _, err := tool.RunSeq(L3, 0, 600, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		runOnce()
+	}
+	if allocs := testing.AllocsPerRun(10, runOnce); allocs > 1000 {
+		t.Fatalf("a run-once 40-access L3 sequence allocates %.0f objects, want at most 1,000", allocs)
+	}
+}

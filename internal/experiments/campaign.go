@@ -8,7 +8,6 @@ import (
 
 	"nanobench/internal/cachetools"
 	"nanobench/internal/sched"
-	"nanobench/internal/sim/machine"
 	"nanobench/internal/uarch"
 )
 
@@ -16,10 +15,11 @@ import (
 // Table I replacement-policy inference over every requested uarch model
 // and cache level, optionally extended with Figure-1-style age graphs of
 // the adaptive models' stochastic leader sets. Each (CPU, level) cell
-// builds its own runner and tool from the fixed experiment seed, so a
-// cell's outcome is a pure function of the cell — never of scheduling —
-// and the campaign is byte-identical at any worker count. The jobs API
-// exposes campaigns as the "campaign" job kind.
+// borrows its own runner from sched's machine pool, reset to the fixed
+// experiment seed, and builds its own tool on it, so a cell's outcome is
+// a pure function of the cell — never of scheduling or of what the
+// machine ran before — and the campaign is byte-identical at any worker
+// count. The jobs API exposes campaigns as the "campaign" job kind.
 
 // CampaignOptions selects the campaign's extent. Zero values mean: every
 // Table I model, all three levels, the Table I sequence budget and seed,
@@ -194,11 +194,10 @@ func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*Cam
 			return err
 		}
 		sp := specs[i]
-		r, cpu, err := newRunner(sp.cpu.Name, machine.Kernel)
-		if err != nil {
-			return err
-		}
-		tool, err := cachetools.New(r)
+		cpu := sp.cpu
+		var l lender
+		defer l.release()
+		tool, err := l.tool(cpu.Name)
 		if err != nil {
 			return err
 		}
@@ -253,34 +252,36 @@ func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*Cam
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		name := cpu.Name
-		r, _, err := newRunner(name, machine.Kernel)
+		row, err := campaignAgeRow(cpu, workers, prefix, maxFresh, ageStep, trials)
 		if err != nil {
 			return nil, err
 		}
-		tool, err := cachetools.New(r)
-		if err != nil {
-			return nil, err
-		}
-		tool.Workers = workers
-		tool.NewSibling = func() (*cachetools.Tool, error) {
-			sr, _, err := newRunner(name, machine.Kernel)
-			if err != nil {
-				return nil, err
-			}
-			return cachetools.New(sr)
-		}
-		slice, set := bLeaderSlice(cpu), 780
-		g, err := tool.AgeGraphFor(cachetools.L3, slice, set, prefix, maxFresh, ageStep, trials)
-		if err != nil {
-			return nil, err
-		}
-		result.AgeRows = append(result.AgeRows, CampaignAgeRow{CPU: name, Slice: slice, Set: set, Graph: g})
+		result.AgeRows = append(result.AgeRows, row)
 		if step != nil {
 			step()
 		}
 	}
 	return result, nil
+}
+
+// campaignAgeRow measures one adaptive model's stochastic-leader age
+// graph, sharding its groups over workers sibling tools; every runner is
+// returned to the pool once AgeGraphFor returns.
+func campaignAgeRow(cpu uarch.CPU, workers int, prefix cachetools.Seq, maxFresh, step, trials int) (CampaignAgeRow, error) {
+	var l lender
+	defer l.release()
+	tool, err := l.tool(cpu.Name)
+	if err != nil {
+		return CampaignAgeRow{}, err
+	}
+	tool.Workers = workers
+	tool.NewSibling = func() (*cachetools.Tool, error) { return l.tool(cpu.Name) }
+	slice, set := bLeaderSlice(cpu), 780
+	g, err := tool.AgeGraphFor(cachetools.L3, slice, set, prefix, maxFresh, step, trials)
+	if err != nil {
+		return CampaignAgeRow{}, err
+	}
+	return CampaignAgeRow{CPU: cpu.Name, Slice: slice, Set: set, Graph: g}, nil
 }
 
 // FormatCampaign renders a campaign result as the experiments' text

@@ -11,6 +11,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"sync"
 	"time"
 
 	"nanobench"
@@ -37,31 +38,59 @@ var Workers = 0
 // instead of re-simulating.
 var resultCache = sched.NewCache()
 
-// newRunner opens a facade session for the CPU model and hands out its
-// runner: the experiments drive the same public Session API the CLIs and
-// examples use.
-func newRunner(cpuName string, mode machine.Mode) (*nano.Runner, uarch.CPU, error) {
-	cpu, err := uarch.ByName(cpuName)
+// lend lends a runner from sched's machine pool (sched.Lend); the
+// lent-equals-fresh test swaps in freshly built machines.
+var lend = sched.Lend
+
+// lender borrows the runners of one experiment, campaign cell or age row
+// from sched's machine pool, each seeded with Seed and so in exactly the
+// state a fresh cpu.NewMachine(Seed) runner has, and returns them all at
+// once with release, after their last use. It is safe for concurrent
+// use: age-graph siblings borrow from worker goroutines.
+type lender struct {
+	mu       sync.Mutex
+	releases []func()
+}
+
+// runner borrows a runner of the CPU model in the given mode.
+func (l *lender) runner(cpuName string, mode machine.Mode) (*nano.Runner, error) {
+	r, release, err := lend(sched.Job{CPU: cpuName, Mode: mode}, Seed)
 	if err != nil {
-		return nil, cpu, err
+		return nil, err
 	}
-	s, err := nanobench.Open(
-		nanobench.WithCPU(cpuName),
-		nanobench.WithMode(mode),
-		nanobench.WithSeed(Seed),
-	)
+	l.mu.Lock()
+	l.releases = append(l.releases, release)
+	l.mu.Unlock()
+	return r, nil
+}
+
+// tool borrows a kernel-mode runner and prepares a cache-analysis tool on
+// it.
+func (l *lender) tool(cpuName string) (*cachetools.Tool, error) {
+	r, err := l.runner(cpuName, machine.Kernel)
 	if err != nil {
-		return nil, cpu, err
+		return nil, err
 	}
-	r, err := s.NewRunner()
-	return r, cpu, err
+	return cachetools.New(r)
+}
+
+// release returns every borrowed machine to the pool.
+func (l *lender) release() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, rel := range l.releases {
+		rel()
+	}
+	l.releases = nil
 }
 
 // ExampleL1Latency reproduces the Section III-A example: the paper reports
 // Instructions retired 1.00, Core cycles 4.00, Reference cycles 3.52,
 // UOPS_ISSUED.ANY 1.00, ports 2/3 at 0.50 each, L1 hits 1.00.
 func ExampleL1Latency(w io.Writer) (*nano.Result, error) {
-	r, _, err := newRunner("Skylake", machine.Kernel)
+	var l lender
+	defer l.release()
+	r, err := l.runner("Skylake", machine.Kernel)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +145,9 @@ A1.02 PORT1
 C5.00 BR_MISP`),
 	}
 	timeIt := func(mode machine.Mode) (time.Duration, error) {
-		r, _, err := newRunner("CoffeeLake", mode)
+		var l lender
+		defer l.release()
+		r, err := l.runner("CoffeeLake", mode)
 		if err != nil {
 			return 0, err
 		}
@@ -169,11 +200,9 @@ func Table1(w io.Writer, quick bool) ([]Table1Row, error) {
 	lines := make([]string, len(cpus))
 	err := sched.ForEach(len(cpus), Workers, func(ci int) error {
 		cpu := cpus[ci]
-		r, _, err := newRunner(cpu.Name, machine.Kernel)
-		if err != nil {
-			return err
-		}
-		tool, err := cachetools.New(r)
+		var l lender
+		defer l.release()
+		tool, err := l.tool(cpu.Name)
 		if err != nil {
 			return err
 		}
@@ -309,11 +338,9 @@ func bLeaderSlice(cpu uarch.CPU) int {
 // QLRU_H11_MR161_R1_U2 policy, measuring how long each block survives as
 // fresh blocks stream in.
 func Figure1(w io.Writer, quick bool) (*cachetools.AgeGraph, error) {
-	r, _, err := newRunner("IvyBridge", machine.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	tool, err := cachetools.New(r)
+	var l lender
+	defer l.release()
+	tool, err := l.tool("IvyBridge")
 	if err != nil {
 		return nil, err
 	}
@@ -324,13 +351,7 @@ func Figure1(w io.Writer, quick bool) (*cachetools.AgeGraph, error) {
 	if tool.Workers == 0 {
 		tool.Workers = runtime.NumCPU()
 	}
-	tool.NewSibling = func() (*cachetools.Tool, error) {
-		sr, _, err := newRunner("IvyBridge", machine.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		return cachetools.New(sr)
-	}
+	tool.NewSibling = func() (*cachetools.Tool, error) { return l.tool("IvyBridge") }
 	maxFresh, step, trials := 200, 8, 32
 	if quick {
 		maxFresh, step, trials = 64, 16, 8
@@ -351,7 +372,9 @@ func Figure1(w io.Writer, quick bool) (*cachetools.AgeGraph, error) {
 // CPUID-serialized measurements of short code are unreliable.
 func Serialization(w io.Writer) (cpuidSpread, lfenceSpread float64, err error) {
 	spread := func(asm string) (float64, error) {
-		r, _, err := newRunner("Skylake", machine.Kernel)
+		var l lender
+		defer l.release()
+		r, err := l.runner("Skylake", machine.Kernel)
 		if err != nil {
 			return 0, err
 		}
@@ -508,7 +531,9 @@ func LoopVsUnroll(w io.Writer) (map[string]float64, error) {
 // counters to memory perturbs the measured cache state; the noMem mode
 // avoids it.
 func NoMemAblation(w io.Writer) (memHits, noMemHits float64, err error) {
-	r, _, err := newRunner("Skylake", machine.Kernel)
+	var l lender
+	defer l.release()
+	r, err := l.runner("Skylake", machine.Kernel)
 	if err != nil {
 		return
 	}
@@ -560,7 +585,9 @@ func NoMemAblation(w io.Writer) (memHits, noMemHits float64, err error) {
 // user mode timer interrupts perturb them.
 func KernelVsUserAccuracy(w io.Writer) (kernelSpread, userSpread float64, err error) {
 	measureSpread := func(mode machine.Mode) (float64, error) {
-		r, _, err := newRunner("Skylake", mode)
+		var l lender
+		defer l.release()
+		r, err := l.runner("Skylake", mode)
 		if err != nil {
 			return 0, err
 		}
@@ -607,14 +634,16 @@ func KernelVsUserAccuracy(w io.Writer) (kernelSpread, userSpread float64, err er
 // physically-contiguous allocator succeeds after boot, fails under
 // fragmentation, and recovers after a reboot.
 func ContiguousAlloc(w io.Writer) (freshOK, fragFail, rebootOK bool, err error) {
-	r, _, err := newRunner("Skylake", machine.Kernel)
+	var l lender
+	defer l.release()
+	r, err := l.runner("Skylake", machine.Kernel)
 	if err != nil {
 		return
 	}
 	err1 := r.AllocBigArea(32 << 20)
 	freshOK = err1 == nil
 
-	r2, _, err := newRunner("KabyLake", machine.Kernel)
+	r2, err := l.runner("KabyLake", machine.Kernel)
 	if err != nil {
 		return
 	}
@@ -656,11 +685,13 @@ func SetDueling(w io.Writer, quick bool) ([]DuelingResult, error) {
 	blocks := make([]string, len(names))
 	err := sched.ForEach(len(names), Workers, func(ni int) error {
 		name := names[ni]
-		r, cpu, err := newRunner(name, machine.Kernel)
+		cpu, err := uarch.ByName(name)
 		if err != nil {
 			return err
 		}
-		tool, err := cachetools.New(r)
+		var l lender
+		defer l.release()
+		tool, err := l.tool(name)
 		if err != nil {
 			return err
 		}

@@ -2,15 +2,20 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"nanobench/internal/cachetools"
+	"nanobench/internal/nano"
 	"nanobench/internal/sched"
 	"nanobench/internal/sim/machine"
+	"nanobench/internal/uarch"
 )
 
 // The experiments are exercised end-to-end by the benchmark harness in the
@@ -278,5 +283,74 @@ func TestNanoBenchTimingInjectedClock(t *testing.T) {
 	}
 	if ticks != 4 {
 		t.Errorf("clock read %d times, want 4 (start/end per mode)", ticks)
+	}
+}
+
+// TestLentMachinesMatchFresh pins experiment lending to "Reset is New"
+// end to end: a small policy campaign — two Table I models, one adaptive,
+// at L1 and L3, plus the adaptive model's age graph on two workers, so a
+// sibling is lent too — run twice on runners lent from sched's pool
+// (the second run reusing machines the first returned) produces JSON
+// byte-identical to the same campaign on freshly built machines.
+func TestLentMachinesMatchFresh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three policy campaigns; run without -short")
+	}
+	opt := CampaignOptions{
+		CPUs:      []string{"Skylake", "IvyBridge"},
+		Levels:    []cachetools.Level{cachetools.L1, cachetools.L3},
+		Workers:   2,
+		AgeGraphs: true, AgeMaxFresh: 16, AgeStep: 16, AgeTrials: 2,
+	}
+	campaign := func() string {
+		t.Helper()
+		res, err := PolicyCampaign(context.Background(), opt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	defer func(old func(sched.Job, int64) (*nano.Runner, func(), error)) { lend = old }(lend)
+
+	lend = func(j sched.Job, seed int64) (*nano.Runner, func(), error) {
+		cpu, err := uarch.ByName(j.CPU)
+		if err != nil {
+			return nil, nil, err
+		}
+		m, err := cpu.NewMachine(seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		r, err := nano.NewRunner(m, j.Mode)
+		return r, func() {}, err
+	}
+	want := campaign()
+
+	var mu sync.Mutex
+	lent := map[*machine.Machine]bool{}
+	reused := 0
+	lend = func(j sched.Job, seed int64) (*nano.Runner, func(), error) {
+		r, release, err := sched.Lend(j, seed)
+		if err == nil {
+			mu.Lock()
+			if lent[r.M] {
+				reused++
+			}
+			lent[r.M] = true
+			mu.Unlock()
+		}
+		return r, release, err
+	}
+	for run := 1; run <= 2; run++ {
+		if got := campaign(); got != want {
+			t.Fatalf("run %d on lent machines:\n%s\nfresh machines:\n%s", run, got, want)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no lend reused a pooled machine, so the comparison proves nothing")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+	"time"
 
 	"nanobench/internal/perfcfg"
 	"nanobench/internal/sim/machine"
@@ -250,5 +251,35 @@ func TestRunContextCancelled(t *testing.T) {
 	// The runner still works afterwards.
 	if _, err := r.Run(Config{Code: MustAsm("nop")}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunContextStopsRunawayRun: a benchmark that never returns — a bare
+// `jmp $` — used to run to the machine's 64 Mi-instruction budget (several
+// seconds) and report the budget fault, whatever the context said. The run
+// itself must watch the context: under a 50 ms deadline it returns the
+// deadline error well within 2 s, on every engine tier.
+func TestRunContextStopsRunawayRun(t *testing.T) {
+	for _, e := range []machine.Engine{machine.EngineTrace, machine.EngineChained, machine.EngineStep} {
+		t.Run(e.String(), func(t *testing.T) {
+			r := skylakeRunner(t, machine.Kernel)
+			r.M.SetEngine(e)
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err := r.RunContext(ctx, Config{
+				Code:          []byte{0xE9, 0xFB, 0xFF, 0xFF, 0xFF}, // jmp $ (rel32 −5)
+				UnrollCount:   1,
+				NMeasurements: 1,
+				WarmUpCount:   NoWarmUp,
+			})
+			elapsed := time.Since(start)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("runaway run under a 50 ms deadline = %v, want context.DeadlineExceeded", err)
+			}
+			if elapsed > 2*time.Second {
+				t.Fatalf("runaway run returned after %v, want within 2s of a 50 ms deadline", elapsed)
+			}
+		})
 	}
 }

@@ -199,9 +199,10 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 }
 
 // RunContext is Run bounded by a context: cancellation or a deadline is
-// checked between individual benchmark runs, so even a long measurement
-// series (large NMeasurements, many counter groups) returns promptly with
-// the context's error.
+// checked between individual benchmark runs and, inside a run, by the
+// machine every 2^16 retired instructions (machine.RunContext), so even a
+// long measurement series (large NMeasurements, many counter groups) or a
+// runaway benchmark returns promptly with the context's error.
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	cfg = cfg.applyDefaults()
 	if err := ctx.Err(); err != nil {
@@ -489,7 +490,7 @@ func (r *Runner) runVariant(ctx context.Context, cfg Config, g counterGroup, loc
 		}
 		// Trim counter histories between runs; enables survive.
 		r.M.PMU.ResetAll(r.M.Cycle())
-		if _, err := r.M.Run(CodeBase); err != nil {
+		if _, err := r.M.RunContext(ctx, CodeBase); err != nil {
 			return nil, nil, err
 		}
 		if i < 0 {

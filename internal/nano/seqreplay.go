@@ -370,7 +370,7 @@ func (r *Runner) seqVariantRuns(ctx context.Context, cfg Config, code []byte, le
 			r.M.SetTraceSink(&sr.sink)
 		}
 		r.M.PMU.ResetAll(r.M.Cycle())
-		rr, err := r.M.Run(CodeBase)
+		rr, err := r.M.RunContext(ctx, CodeBase)
 		if record {
 			r.M.SetTraceSink(nil)
 		}

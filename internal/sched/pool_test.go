@@ -173,3 +173,30 @@ func TestPoolSharedAcrossConcurrentBatches(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLendReleaseTwicePoolsOnce: releasing a lent runner a second time
+// does nothing, so its machine enters the pool once and two runners lent
+// after it never share a machine. (The Zen model keeps other tests' pool
+// traffic out of the way.)
+func TestLendReleaseTwicePoolsOnce(t *testing.T) {
+	j := Job{CPU: uarch.Zen().Name, Mode: machine.Kernel}
+	_, release, err := Lend(j, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	release()
+	a, releaseA, err := Lend(j, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseA()
+	b, releaseB, err := Lend(j, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer releaseB()
+	if a.M == b.M {
+		t.Fatal("a machine released twice was lent to two runners at once")
+	}
+}

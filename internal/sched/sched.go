@@ -344,8 +344,11 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 // machines pools evaluation machines per CPU model, keyed by catalog
 // name. The map is filled once at start-up and only read afterwards; each
 // sync.Pool is safe for the workers, shards and handlers that share it.
-// Only machines evaluate builds are pooled: a machine handed to a caller
-// is never reused behind its back.
+// Only machines lent through Lend (by evaluate and the internal
+// experiment drivers) are pooled, and only between a release and the next
+// lend: a machine handed to a caller for keeps is never reused behind its
+// back. Being a sync.Pool, it empties across garbage collections, so idle
+// machines do not pin memory.
 var machines = func() map[string]*sync.Pool {
 	pools := map[string]*sync.Pool{}
 	for _, cpu := range append(uarch.Table1(), uarch.Zen()) {
@@ -354,15 +357,28 @@ var machines = func() map[string]*sync.Pool {
 	return pools
 }()
 
-// evaluate simulates one job on a machine in exactly the state a fresh
-// build with the given seed has: a machine of the job's CPU model from the
-// pool, reset for the seed, or a new one when the pool is empty. The
-// machine goes back to the pool once the run returns; results never
-// reference machine memory.
+// evaluate simulates one job on a lent runner and returns the machine to
+// the pool once the run returns; results never reference machine memory.
 func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
-	cpu, err := uarch.ByName(j.CPU)
+	r, release, err := Lend(j, seed)
 	if err != nil {
 		return nil, err
+	}
+	defer release()
+	return r.RunContext(ctx, j.Cfg)
+}
+
+// Lend lends a runner set up for the job's CPU model, mode and big area
+// (its Cfg is not used), in exactly the state cpu.NewMachine(seed) plus
+// nano.NewRunner builds: a pooled machine reset for the seed, or a new one
+// when the pool is empty. The caller calls release once it is done with
+// the runner and with everything built on it (cachetools tools, sibling
+// tools); release returns the machine to the pool, and calling it again
+// does nothing. A set-up error drops the machine.
+func Lend(j Job, seed int64) (*nano.Runner, func(), error) {
+	cpu, err := uarch.ByName(j.CPU)
+	if err != nil {
+		return nil, nil, err
 	}
 	pool := machines[cpu.Name]
 	var r *nano.Runner
@@ -372,17 +388,15 @@ func evaluate(ctx context.Context, j Job, seed int64) (*nano.Result, error) {
 		r, err = buildRunner(cpu, j, seed)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res, err := r.RunContext(ctx, j.Cfg)
-	pool.Put(r.M)
-	return res, err
+	return r, sync.OnceFunc(func() { pool.Put(r.M) }), nil
 }
 
 // buildRunner builds a new machine of the CPU model with the given seed
-// and a runner on it for the job. It is the cold path evaluate takes when
-// the pool is empty; BenchmarkNewMachine and TestNewMachineFootprint
-// measure it.
+// and a runner on it for the job. It is the cold path Lend takes when the
+// pool is empty; BenchmarkNewMachine and TestNewMachineFootprint measure
+// it.
 func buildRunner(cpu uarch.CPU, j Job, seed int64) (*nano.Runner, error) {
 	m, err := cpu.NewMachine(seed)
 	if err != nil {

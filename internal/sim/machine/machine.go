@@ -10,7 +10,9 @@
 package machine
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -360,13 +362,31 @@ type RunResult struct {
 	Interrupts   int
 }
 
+// ctxPollInstrs is how many retired instructions RunContext lets pass
+// between two looks at its context: rare enough to cost nothing per
+// instruction, frequent enough that a cancelled run stops within
+// milliseconds rather than at the instruction budget.
+const ctxPollInstrs = 1 << 16
+
 // Run executes code at entry until the top-level RET (or fault/instruction
 // budget). The machine pushes a sentinel return address onto its private
 // stack; generated nanoBench code saves and restores all registers, so RSP
 // is back on this stack when the final RET executes.
 func (m *Machine) Run(entry uint32) (RunResult, error) {
+	return m.RunContext(context.Background(), entry)
+}
+
+// RunContext is Run bounded by a context: every ctxPollInstrs retired
+// instructions the run checks ctx and, once it is done, stops with the
+// context's error. The machine is then mid-run, as after a fault; the next
+// Run starts from the entry again.
+func (m *Machine) RunContext(ctx context.Context, entry uint32) (RunResult, error) {
 	c := &m.core
 	startInstr := c.instructions
+	nextPoll := uint64(math.MaxUint64) // a context that is never done is never polled
+	if ctx.Done() != nil {
+		nextPoll = startInstr + ctxPollInstrs
+	}
 	// Runs do not overlap: the driver work between runs (configuring
 	// counters, reading results) serializes the pipeline.
 	c.feCycle = c.cycleFloor()
@@ -403,6 +423,12 @@ func (m *Machine) Run(entry uint32) (RunResult, error) {
 	for {
 		if c.instructions-startInstr > m.MaxInstructions {
 			return RunResult{}, &Fault{RIP: c.rip, Reason: "instruction budget exceeded (runaway loop?)"}
+		}
+		if c.instructions >= nextPoll {
+			if err := ctx.Err(); err != nil {
+				return RunResult{}, err
+			}
+			nextPoll = c.instructions + ctxPollInstrs
 		}
 		// Timer interrupts (user mode with IF set).
 		if m.ifEn && m.mode == User && c.feCycle >= m.nextIrq {

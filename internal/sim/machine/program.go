@@ -40,6 +40,7 @@ type program struct {
 	// Living inside program means every install/drop — and therefore
 	// every decVersion bump from a code write — discards all cached
 	// blocks and their recorded port schedules before the next dispatch.
+	// Both keep the backing array, whose storage buildBlock recycles.
 	blocks  []traceBlock
 	blockOf []int32
 }

@@ -71,7 +71,7 @@ const (
 	traceMaxBlock = 4096
 )
 
-// traceSlots is the number of recorded schedules kept per block. The
+// traceSlots is the most recorded schedules a block keeps. The
 // issue-slot phase (feSlots) cycles with period up to issueWidth across
 // loop iterations, and the port-use rotation composes with it, so a
 // single slot would thrash on any loop whose µop count is not a multiple
@@ -105,7 +105,9 @@ type traceSlot struct {
 }
 
 // traceBlock is one maximal run of fused entries executed in a single
-// pass by Run's trace tier.
+// pass by Run's trace tier. A program's blocks are recycled: buildBlock
+// reuses the element, and every buffer it holds, that an earlier program
+// left past the end of program.blocks.
 type traceBlock struct {
 	steps   []int32 // program entry indices, in execution order
 	lastIdx int32   // steps[len-1]: its fall link is the block successor
@@ -118,8 +120,12 @@ type traceBlock struct {
 	portSet    []uint8 // ascending ports of the union of the steps' µop masks
 	liveIn     []uint8 // registers read before written, ascending
 	keyLen     int     // replay-key length: fixed per block, set at build
-	slots      [traceSlots]traceSlot
-	nextSlot   int
+	// slots grows by one each time the block records into a slot it has
+	// not used yet, up to traceSlots, so a block that never records costs
+	// no schedule storage. Elements past len are recycled storage, fully
+	// rewritten before they are recorded into.
+	slots    []traceSlot
+	nextSlot int
 	// Slot-sequence predictor: steady-state loops cycle through their
 	// recorded slots in a fixed rotation, so the slot that followed the
 	// previous hit is probed first. lastHit is the most recent hit;
@@ -193,10 +199,21 @@ func (m *Machine) Engine() Engine {
 // budget/IRQ checks and PMU delivery.) Fall links strictly increase the
 // instruction address, so the walk terminates. Returns the block index
 // or blockNoTrace.
+//
+// The new block takes the next element of program.blocks' backing array,
+// so a program reuses the block storage earlier programs left: the step,
+// port-set and live-in buffers, and the recorded slots' arrays. The slot
+// count and the slot predictor are reset, so a recycled block never
+// serves a schedule recorded for another program.
 func (m *Machine) buildBlock(idx int32) int32 {
 	p := &m.prog
+	bi := len(p.blocks)
+	if bi == cap(p.blocks) {
+		p.blocks = append(p.blocks, traceBlock{})[:bi]
+	}
+	b := &p.blocks[:bi+1][bi]
 	line := uint64(p.instrs[idx].LineFirst)
-	var steps []int32
+	steps := b.steps[:0]
 	for j := idx; j >= 0 && len(steps) < traceMaxBlock; j = p.links[j].fall {
 		d := &p.instrs[j]
 		if d.Fast == x86.FastNone || uint64(d.LineFirst) != line || d.LineLast != d.LineFirst {
@@ -204,18 +221,21 @@ func (m *Machine) buildBlock(idx int32) int32 {
 		}
 		steps = append(steps, j)
 	}
+	b.steps = steps
 	if len(steps) < traceMinBlock {
 		p.blockOf[idx] = blockNoTrace
 		return blockNoTrace
 	}
 	last := steps[len(steps)-1]
-	b := traceBlock{
-		steps:      steps,
-		lastIdx:    last,
-		exitRIP:    p.instrs[last].Next,
-		replayable: true,
-		line:       line,
-	}
+	b.lastIdx = last
+	b.exitRIP = p.instrs[last].Next
+	b.replayable = true
+	b.line = line
+	b.portSet = b.portSet[:0]
+	b.liveIn = b.liveIn[:0]
+	b.slots = b.slots[:0]
+	b.nextSlot, b.lastHit = 0, 0
+	b.nextOf = [traceSlots]uint8{}
 	var portMask uint32
 	var liveIn, written uint16
 	for _, i := range steps {
@@ -245,10 +265,9 @@ func (m *Machine) buildBlock(idx int32) int32 {
 		}
 		b.keyLen += words
 	}
-	p.blocks = append(p.blocks, b)
-	bi := int32(len(p.blocks) - 1)
-	p.blockOf[idx] = bi
-	return bi
+	p.blocks = p.blocks[:bi+1]
+	p.blockOf[idx] = int32(bi)
+	return int32(bi)
 }
 
 // captureKey writes the block's replay key — the entry timing state its
@@ -436,6 +455,13 @@ func (m *Machine) execBlockRecord(b *traceBlock, pmuOn, record bool) error {
 	base := c.feCycle
 	var slot *traceSlot
 	if record {
+		if n := len(b.slots); b.nextSlot == n {
+			if n < cap(b.slots) {
+				b.slots = b.slots[:n+1]
+			} else {
+				b.slots = append(b.slots, traceSlot{})
+			}
+		}
 		slot = &b.slots[b.nextSlot]
 		slot.valid = false
 		slot.key = m.captureKey(b, slot.key[:0])
@@ -514,9 +540,12 @@ func (m *Machine) execBlockRecord(b *traceBlock, pmuOn, record bool) error {
 // matches a slot's key: per-step events and value-completion cycles are
 // re-based onto the current front-end cycle, architectural values are
 // recomputed through the same ALU helpers, and the exit timing state is
-// applied from recorded deltas. Returns false on a key miss (the caller
-// records a fresh schedule).
+// applied from recorded deltas. Returns false on a key miss or when the
+// block has recorded nothing yet (the caller records a fresh schedule).
 func (m *Machine) replayBlock(b *traceBlock, pmuOn bool) bool {
+	if len(b.slots) == 0 {
+		return false
+	}
 	c := &m.core
 	// execBlock fetched the block's line, so every per-step fetch would be
 	// a no-op; the key (captured after any fetch bubble) covers the rest.
