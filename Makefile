@@ -57,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseQLRU$$' -fuzztime $(FUZZTIME) ./internal/sim/policy
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMode$$' -fuzztime $(FUZZTIME) ./internal/sim/machine
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceMatchesStep$$' -fuzztime $(FUZZTIME) ./internal/sim/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayPlanMatchesWalk$$' -fuzztime $(FUZZTIME) ./internal/sim/cache
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/perfcfg
 
 # One pass over every benchmark (no test functions) plus stable

@@ -5,7 +5,7 @@
 // nanobench.Open — so this binary doubles as an end-to-end exercise of
 // the facade.
 //
-//	experiments -all          # everything (several minutes)
+//	experiments -all          # everything (about 3 s on a 2-vCPU host)
 //	experiments -table1       # Table I only
 //	experiments -fig1 -quick  # a fast, low-resolution Figure 1
 package main

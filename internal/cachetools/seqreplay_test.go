@@ -114,3 +114,29 @@ func TestSeqReplayMatchesFullSimDueling(t *testing.T) {
 		t.Fatal("fast path never replayed a run")
 	}
 }
+
+// TestSeqReplayPlansEngage runs a small dueling scan and checks that
+// replay plans (cache.Hierarchy.Replay) carry most of its A-variant
+// replays without changing the seq-replay ladder: the replayed and real
+// run counts are the ones the scan had before plans existed, since a
+// plan changes how a replay runs, never whether it runs. B-variant
+// images have no WBINVD and never plan.
+func TestSeqReplayPlansEngage(t *testing.T) {
+	tool := newTool(t, "Haswell")
+	if _, err := tool.FindDedicatedSets([]int{0}, []int{512, 600, 768}, 2); err != nil {
+		t.Fatal(err)
+	}
+	replays, realRuns := tool.R.SeqReplayStats()
+	if replays != 122 || realRuns != 16 {
+		t.Errorf("SeqReplayStats = %d replays, %d real runs; want 122, 16", replays, realRuns)
+	}
+	planned, walked := tool.R.M.Hier.ReplayStats()
+	if planned+walked != replays {
+		t.Errorf("hierarchy replayed %d planned + %d walked traces, runner %d", planned, walked, replays)
+	}
+	// Every RunSeqHits call runs its A and B variants equally often, so
+	// at most half of all runs are A-variant replays.
+	if aMax := (replays + realRuns) / 2; 2*planned <= aMax {
+		t.Errorf("only %d of up to %d A-variant replays ran from a plan", planned, aMax)
+	}
+}

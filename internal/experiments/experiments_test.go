@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"nanobench/internal/cachetools"
+	"nanobench/internal/instbench"
 	"nanobench/internal/nano"
 	"nanobench/internal/sched"
 	"nanobench/internal/sim/machine"
@@ -106,6 +108,30 @@ func TestInstructionTableQuickDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if latOK < 9 || portOK < 19 {
 		t.Errorf("quick sweep agreement dropped: lat %d, ports %d of %d", latOK, portOK, total)
+	}
+}
+
+// TestInstructionTablePortDenominator runs the full sweep and requires
+// the port-set line to count only variants that have a port form: NOP
+// has none, so the check skips it and it must not appear in the
+// denominator either.
+func TestInstructionTablePortDenominator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full instruction sweep; run without -short")
+	}
+	var buf bytes.Buffer
+	if _, _, _, err := InstructionTable(&buf, false); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, v := range instbench.Variants() {
+		if v.Form != instbench.FormNone {
+			n++
+		}
+	}
+	want := fmt.Sprintf("port sets within ground truth:   %d/%d\n", n, n)
+	if !strings.Contains(buf.String(), want) {
+		t.Errorf("sweep output lacks %q:\n%s", want, buf.String())
 	}
 }
 

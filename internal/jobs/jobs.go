@@ -208,7 +208,6 @@ type Manager struct {
 	running  int
 
 	workers sync.WaitGroup
-	active  sync.WaitGroup // one count per job being evaluated
 	submits sync.WaitGroup // one count per Submit between admission check and enqueue
 
 	metrics managerMetrics
@@ -331,7 +330,6 @@ func (m *Manager) runJob(j *Job) {
 	j.events = append(j.events, j.snapshotLocked())
 	j.notifyLocked()
 	m.running++
-	m.active.Add(1)
 	task := j.task
 	p := j.progress
 	m.metrics.queueSeconds.observe(float64(j.startedNs-j.submittedNs) / 1e9)
@@ -358,7 +356,6 @@ func (m *Manager) runJob(j *Job) {
 	m.metrics.finished[j.state]++
 	m.metrics.runSeconds.observe(float64(j.finishedNs-j.startedNs) / 1e9)
 	m.mu.Unlock()
-	m.active.Done()
 }
 
 // Get returns the job's current snapshot.
@@ -537,7 +534,8 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 
 	done := make(chan struct{})
 	go func() {
-		m.active.Wait()
+		// The queue is closed, so each worker exits once its current
+		// job is done: waiting for the workers waits for every job.
 		m.workers.Wait()
 		close(done)
 	}()

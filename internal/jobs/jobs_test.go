@@ -174,7 +174,9 @@ func TestQueueOverflow(t *testing.T) {
 
 	gate := make(chan struct{})
 	defer close(gate)
-	started := make(chan struct{})
+	// Buffered: the first task may start before the test waits, and its
+	// non-blocking send must not be dropped.
+	started := make(chan struct{}, 1)
 	block := func(ctx context.Context, p *Progress) ([]byte, error) {
 		select {
 		case started <- struct{}{}:

@@ -85,6 +85,8 @@ const (
 )
 
 type seqTraceEntry struct {
+	// ops is the raw recording, kept until the verified entry compiles
+	// it into resolved.
 	ops      []cache.TraceOp
 	lastLine uint64
 	hasCode  bool
@@ -344,6 +346,7 @@ func (r *Runner) seqVariantRuns(ctx context.Context, cfg Config, code []byte, le
 		if ent.state == 2 && !ent.blacklisted && !suppressed {
 			if ent.resolved == nil {
 				ent.resolved = r.M.Hier.CompileTrace(ent.ops, seqCountIdx, level)
+				ent.ops = nil // a verified entry never records again
 			}
 			if hits, ok := r.M.Hier.Replay(ent.resolved); ok {
 				if ent.hasCode {

@@ -16,6 +16,7 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"nanobench/internal/sim/policy"
 )
@@ -151,6 +152,10 @@ type Cache struct {
 	validCount int
 
 	eng policy.Engine
+	// st saves and loads one set's replacement state. It is nil unless
+	// the engine draws no randomness (policy.SetStateOf); replay plans
+	// need it at the L1I, L1D and L2.
+	st policy.SetState
 	// seed/stream parameterize the per-set RNG streams (policy.SetSeed);
 	// Restream bumps stream to re-derive them, and Hierarchy.Reseed sets
 	// seed before restreaming.
@@ -195,6 +200,7 @@ func New(geom Geometry, slice int, pf PolicyFactory, seed int64) (*Cache, error)
 	if err != nil {
 		return nil, err
 	}
+	c.st, _ = policy.SetStateOf(c.eng)
 	return c, nil
 }
 
@@ -299,9 +305,16 @@ func (c *Cache) access(si int, t uint64, write bool) (hit bool, evicted bool, ev
 // access (prefetch fills use this too). Replacement state is updated as a
 // fill. If the line is already present, only the dirty bit may be updated.
 func (c *Cache) Fill(phys uint64, dirty bool) (evicted bool, evictedDirty bool, evictedPhys uint64) {
-	si := c.SetIndex(phys)
+	return c.fill(c.SetIndex(phys), c.tag(phys), dirty)
+}
+
+// fillTag is Fill keyed by line tag (see accessTag).
+func (c *Cache) fillTag(t uint64, dirty bool) {
+	c.fill(int(t&c.setMask), t, dirty)
+}
+
+func (c *Cache) fill(si int, t uint64, dirty bool) (evicted bool, evictedDirty bool, evictedPhys uint64) {
 	base := c.ensure(si)
-	t := c.tag(phys)
 	for i := base; i < base+c.assoc; i++ {
 		if c.tags[i] == t {
 			if dirty {
@@ -332,9 +345,16 @@ func (c *Cache) Fill(phys uint64, dirty bool) (evicted bool, evictedDirty bool, 
 // InvalidateLine removes the line containing phys if present, returning
 // whether it was present and dirty.
 func (c *Cache) InvalidateLine(phys uint64) (present, dirty bool) {
-	si := c.SetIndex(phys)
+	return c.invalidate(c.SetIndex(phys), c.tag(phys))
+}
+
+// invalidateTag is InvalidateLine keyed by line tag (see accessTag).
+func (c *Cache) invalidateTag(t uint64) {
+	c.invalidate(int(t&c.setMask), t)
+}
+
+func (c *Cache) invalidate(si int, t uint64) (present, dirty bool) {
 	base := c.ensure(si)
-	t := c.tag(phys)
 	for i := base; i < base+c.assoc; i++ {
 		if c.tags[i] == t {
 			present, dirty = true, c.flags[i]&flagDirty != 0
@@ -382,6 +402,79 @@ func (c *Cache) bumpEpoch() {
 		c.epoch = 1
 	}
 	c.validCount = 0
+}
+
+// setSnapshot is the state of every current set of one cache — each set
+// touched since the cache was last invalidated — as a replay plan
+// records it (trace.go). Only valid ways are stored.
+type setSnapshot struct {
+	sets  []int32  // the current sets, ascending
+	valid []uint8  // valid ways of each set
+	tags  []uint64 // tags of the valid ways, set by set
+	ways  []uint8  // way<<1 | dirty, one per stored tag
+	state []uint64 // replacement state, set by set (policy.SetState)
+}
+
+// snapshot records the state of every current set into s, reusing its
+// storage. The cache's engine must offer per-set state (c.st).
+func (c *Cache) snapshot(s *setSnapshot) {
+	*s = setSnapshot{s.sets[:0], s.valid[:0], s.tags[:0], s.ways[:0], s.state[:0]}
+	for si, e := range c.setEpoch {
+		if e != c.epoch {
+			continue
+		}
+		base := si * c.assoc
+		n := 0
+		for w, f := range c.flags[base : base+c.assoc] {
+			if f&flagValid != 0 {
+				way := uint8(w << 1)
+				if f&flagDirty != 0 {
+					way |= 1
+				}
+				s.tags = append(s.tags, c.tags[base+w])
+				s.ways = append(s.ways, way)
+				n++
+			}
+		}
+		s.sets = append(s.sets, int32(si))
+		s.valid = append(s.valid, uint8(n))
+		s.state = c.st.AppendSetState(s.state, si)
+	}
+}
+
+// clone returns a copy of s sized exactly, for a plan to keep.
+func (s *setSnapshot) clone() setSnapshot {
+	return setSnapshot{slices.Clone(s.sets), slices.Clone(s.valid), slices.Clone(s.tags), slices.Clone(s.ways), slices.Clone(s.state)}
+}
+
+// install makes the cache hold exactly the snapshot: its sets become
+// current with the stored lines and replacement state. It must follow
+// an InvalidateAll, which left every set stale and no line valid, so the
+// snapshot's lines are all the valid lines there are.
+func (c *Cache) install(s *setSnapshot) {
+	tags, ways, state := s.tags, s.ways, s.state
+	for k, si32 := range s.sets {
+		si := int(si32)
+		base := si * c.assoc
+		for i := base; i < base+c.assoc; i++ {
+			c.tags[i] = invalidTag
+			c.flags[i] = 0
+		}
+		n := int(s.valid[k])
+		for j, t := range tags[:n] {
+			i := base + int(ways[j]>>1)
+			c.tags[i] = t
+			c.flags[i] = flagValid
+			if ways[j]&1 != 0 {
+				c.flags[i] |= flagDirty
+			}
+		}
+		tags, ways = tags[n:], ways[n:]
+		c.setValid[si] = int32(n)
+		c.setEpoch[si] = c.epoch
+		state = c.st.LoadSetState(si, state)
+	}
+	c.validCount = len(s.tags)
 }
 
 // ValidLines counts the currently valid lines (for tests and WBINVD cost).

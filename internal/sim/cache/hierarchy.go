@@ -47,6 +47,11 @@ type Hierarchy struct {
 	memLatency int
 	Prefetcher *Prefetcher
 	lineSize   int
+
+	// rec is the scratch space of replay-plan recording, and planned and
+	// walked count replays (ReplayStats; trace.go).
+	rec             replayPlan
+	planned, walked uint64
 }
 
 // NewHierarchy builds the hierarchy from the configuration. seed is the

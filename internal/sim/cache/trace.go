@@ -1,6 +1,9 @@
 package cache
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Hierarchy access tracing and set-local replay.
 //
@@ -155,6 +158,12 @@ type resolvedOp struct {
 type ResolvedTrace struct {
 	ops  []resolvedOp
 	want uint8
+	// flushAt indexes the trace's only OpFlush, or is -1 when the trace
+	// has none or several; only a single-flush trace gets a plan.
+	flushAt int
+	// plan, once recorded, replaces the ops after the flush, and ops
+	// keeps only the prefix before it.
+	plan *replayPlan
 }
 
 // CompileTrace resolves a recording for replay against h, with the
@@ -163,7 +172,8 @@ type ResolvedTrace struct {
 // neither touch the hierarchy nor delimit the window.
 func (h *Hierarchy) CompileTrace(ops []TraceOp, countIdx uint32, wantLevel int) *ResolvedTrace {
 	lineShift := uint(bits.TrailingZeros(uint(h.lineSize)))
-	rt := &ResolvedTrace{ops: make([]resolvedOp, 0, len(ops)), want: uint8(wantLevel)}
+	rt := &ResolvedTrace{ops: make([]resolvedOp, 0, len(ops)), want: uint8(wantLevel), flushAt: -1}
+	flushes := 0
 	for i := range ops {
 		op := &ops[i]
 		switch op.Kind {
@@ -176,6 +186,8 @@ func (h *Hierarchy) CompileTrace(ops []TraceOp, countIdx uint32, wantLevel int) 
 				tag:   op.Phys >> lineShift,
 			})
 		case OpFlush:
+			flushes++
+			rt.flushAt = len(rt.ops)
 			rt.ops = append(rt.ops, resolvedOp{kind: OpFlush})
 		case OpFlushLine:
 			rt.ops = append(rt.ops, resolvedOp{
@@ -189,7 +201,75 @@ func (h *Hierarchy) CompileTrace(ops []TraceOp, countIdx uint32, wantLevel int) 
 			}
 		}
 	}
+	if flushes != 1 {
+		rt.flushAt = -1
+	}
 	return rt
+}
+
+// Replay plans.
+//
+// A WBINVD empties every level, and the L1I, L1D and L2 never see L3
+// state: the hierarchy is non-inclusive, so an L3 hit or miss fills the
+// upper levels the same way, and nothing flows from the L3 back up. When
+// those three levels also draw no randomness (policy.SetStateOf), what
+// they do after a trace's flush is the same on every replay: the same
+// hits and misses, the same dirty evictions, the same end state. The
+// first replay of a single-flush trace therefore records a plan of its
+// suffix: the counted L1/L2 hits, the ordered stream of operations that
+// reach the L3 (demand lookups, fills from dirty L2 evictions, line
+// invalidations), and the end state of every upper-level set the suffix
+// touched. Later replays walk the prefix, flush, install that end state
+// and run only the L3 stream. Every L3 operation still runs live and in
+// order, so PSEL steering and the per-set RNG streams of the L3 evolve
+// exactly as in a full walk; nothing is pruned by set.
+
+// l3Kind is the operation of one L3 stream entry.
+type l3Kind uint8
+
+const (
+	l3Lookup     l3Kind = iota // demand lookup, outside the sample
+	l3Counted                  // demand lookup of a counted load in the sample window
+	l3Fill                     // write-back fill of a dirty L2 eviction
+	l3Invalidate               // CLFLUSH
+)
+
+type l3Op struct {
+	kind  l3Kind
+	slice int32
+	tag   uint64
+}
+
+// replayPlan is a trace's suffix after its flush, as the recording walk
+// saw it. Each hierarchy records into one it keeps and reuses (h.rec);
+// a trace keeps an exactly sized clone.
+type replayPlan struct {
+	hits  int            // counted loads of the suffix served by the L1D or L2
+	l3    []l3Op         // the suffix's L3 operations, in walk order
+	upper [3]setSnapshot // end state of the L1I, L1D and L2
+}
+
+func (p *replayPlan) clone() *replayPlan {
+	c := &replayPlan{hits: p.hits, l3: slices.Clone(p.l3)}
+	for k := range p.upper {
+		c.upper[k] = p.upper[k].clone()
+	}
+	return c
+}
+
+func (h *Hierarchy) upper() [3]*Cache { return [3]*Cache{h.L1I, h.L1D, h.L2} }
+
+// plannable reports whether the upper levels draw no randomness and can
+// save and load their sets, which a plan needs.
+func (h *Hierarchy) plannable() bool {
+	return h.L1I.st != nil && h.L1D.st != nil && h.L2.st != nil
+}
+
+// ReplayStats reports how many replays since the hierarchy was built ran
+// from a recorded plan, and how many walked the whole trace (recording
+// a plan or not).
+func (h *Hierarchy) ReplayStats() (planned, walked uint64) {
+	return h.planned, h.walked
 }
 
 // Replay walks a compiled trace through the live hierarchy, mutating
@@ -198,62 +278,153 @@ func (h *Hierarchy) CompileTrace(ops []TraceOp, countIdx uint32, wantLevel int) 
 // (hierarchy untouched) if the prefetcher is active: prefetch fills
 // depend on L2 hit/miss state, which would make the operation sequence
 // state-dependent and the recording unsound.
+//
+// A single-flush trace on a plannable hierarchy records a plan on its
+// first replay and runs from it afterwards; hits and end state are the
+// walk's either way.
 func (h *Hierarchy) Replay(rt *ResolvedTrace) (hits int, ok bool) {
 	if h.Prefetcher.Enabled && h.Prefetcher.Degree > 0 {
 		return 0, false
 	}
-	lineShift := uint(bits.TrailingZeros(uint(h.lineSize)))
-	want := rt.want
-	window := 0
-	for i := range rt.ops {
-		op := &rt.ops[i]
+	if rt.plan != nil {
+		h.planned++
+		return h.replayPlanned(rt), true
+	}
+	h.walked++
+	if rt.flushAt < 0 || !h.plannable() {
+		hits, _ = h.walk(rt.ops, rt.want, 0, nil)
+		return hits, true
+	}
+	hits, window := h.walk(rt.ops[:rt.flushAt], rt.want, 0, nil)
+	h.Flush()
+	rec := &h.rec
+	rec.hits, rec.l3 = 0, rec.l3[:0]
+	suffix, _ := h.walk(rt.ops[rt.flushAt+1:], rt.want, window, rec)
+	for k, c := range h.upper() {
+		c.snapshot(&rec.upper[k])
+	}
+	rt.plan = rec.clone()
+	rt.ops = slices.Clone(rt.ops[:rt.flushAt])
+	return hits + suffix, true
+}
+
+// replayPlanned replays a planned trace: the prefix walks, the flush
+// runs, the upper levels take the recorded end state, and the L3 stream
+// runs live.
+func (h *Hierarchy) replayPlanned(rt *ResolvedTrace) int {
+	hits, _ := h.walk(rt.ops, rt.want, 0, nil)
+	h.Flush()
+	p := rt.plan
+	for k, c := range h.upper() {
+		c.install(&p.upper[k])
+	}
+	hits += p.hits
+	wantHit := rt.want == 3 // l3Counted is recorded only for want 3 or 4
+	for i := range p.l3 {
+		op := &p.l3[i]
+		c := h.L3[op.slice]
+		switch op.kind {
+		case l3Lookup:
+			c.accessTag(op.tag, false)
+		case l3Counted:
+			if hit, _, _, _ := c.accessTag(op.tag, false); hit == wantHit {
+				hits++
+			}
+		case l3Fill:
+			c.fillTag(op.tag, true)
+		case l3Invalidate:
+			c.invalidateTag(op.tag)
+		}
+	}
+	return hits
+}
+
+// walk runs ops through the hierarchy from sample-window position
+// window, returning the counted hits and the final window position.
+// With rec non-nil it records the plan of ops, which must follow a
+// flush: counted L1/L2 hits go to rec.hits, and every L3 operation is
+// appended to rec.l3 in the order it runs.
+func (h *Hierarchy) walk(ops []resolvedOp, want uint8, window int, rec *replayPlan) (hits, windowOut int) {
+	for i := range ops {
+		op := &ops[i]
 		switch op.kind {
 		case OpData:
 			// Mirrors Hierarchy.Data minus latency accounting and the
 			// (gated-off) prefetcher observation.
 			hit, ev, evDirty, evPhys := h.L1D.accessTag(op.tag, op.write)
 			if ev && evDirty {
-				h.l1Writeback(evPhys)
+				_, ev2, ev2Dirty, ev2Phys := h.L2.Access(evPhys, true)
+				if ev2 && ev2Dirty {
+					h.walkWriteback(ev2Phys, rec)
+				}
 			}
+			counted := window == 1 && op.count
 			level := uint8(1)
 			if !hit {
 				hit2, ev2, ev2Dirty, ev2Phys := h.L2.accessTag(op.tag, false)
 				if ev2 && ev2Dirty {
-					h.l2Writeback(ev2Phys)
+					h.walkWriteback(ev2Phys, rec)
 				}
 				if hit2 {
 					level = 2
-				} else if hit3, _, _, _ := h.L3[op.slice].accessTag(op.tag, false); hit3 {
-					level = 3
 				} else {
-					level = 4
+					if rec != nil {
+						kind := l3Lookup
+						if counted && (want == 3 || want == 4) {
+							kind = l3Counted
+						}
+						rec.l3 = append(rec.l3, l3Op{kind: kind, slice: op.slice, tag: op.tag})
+					}
+					if hit3, _, _, _ := h.L3[op.slice].accessTag(op.tag, false); hit3 {
+						level = 3
+					} else {
+						level = 4
+					}
 				}
 			}
-			if window == 1 && op.count && level == want {
+			if counted && level == want {
 				hits++
+				if rec != nil && level <= 2 {
+					rec.hits++
+				}
 			}
 		case OpCode:
 			// Mirrors Hierarchy.Code minus latency accounting.
 			if hit, _, _, _ := h.L1I.accessTag(op.tag, false); !hit {
 				hit2, ev2, ev2Dirty, ev2Phys := h.L2.accessTag(op.tag, false)
 				if ev2 && ev2Dirty {
-					h.l2Writeback(ev2Phys)
+					h.walkWriteback(ev2Phys, rec)
 				}
 				if !hit2 {
+					if rec != nil {
+						rec.l3 = append(rec.l3, l3Op{kind: l3Lookup, slice: op.slice, tag: op.tag})
+					}
 					h.L3[op.slice].accessTag(op.tag, false)
 				}
 			}
 		case OpFlush:
 			h.Flush()
 		case OpFlushLine:
-			phys := op.tag << lineShift
-			h.L1I.InvalidateLine(phys)
-			h.L1D.InvalidateLine(phys)
-			h.L2.InvalidateLine(phys)
-			h.L3[op.slice].InvalidateLine(phys)
+			h.L1I.invalidateTag(op.tag)
+			h.L1D.invalidateTag(op.tag)
+			h.L2.invalidateTag(op.tag)
+			if rec != nil {
+				rec.l3 = append(rec.l3, l3Op{kind: l3Invalidate, slice: op.slice, tag: op.tag})
+			}
+			h.L3[op.slice].invalidateTag(op.tag)
 		case OpCtrRead:
 			window++
 		}
 	}
-	return hits, true
+	return hits, window
+}
+
+// walkWriteback writes a dirty L2 eviction back into its L3 slice, as
+// l2Writeback does, and logs the fill when recording.
+func (h *Hierarchy) walkWriteback(phys uint64, rec *replayPlan) {
+	c := h.L3[h.hash.Slice(phys)]
+	if rec != nil {
+		rec.l3 = append(rec.l3, l3Op{kind: l3Fill, slice: int32(c.Slice), tag: c.tag(phys)})
+	}
+	c.Fill(phys, true)
 }
