@@ -30,8 +30,11 @@ test-race:
 test-nbbench:
 	cd nbbench && $(GO) test ./...
 
+# nbbench compiles against the facade and internal server APIs, so vet
+# its module too.
 vet:
 	$(GO) vet ./...
+	cd nbbench && $(GO) vet ./...
 
 # Invariant linting (docs/LINTS.md): the in-tree nanolint suite always
 # runs; staticcheck and govulncheck join in when installed (they are not

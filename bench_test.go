@@ -3,9 +3,10 @@
 package nanobench_test
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (DESIGN.md experiment index E1–E11). Each benchmark runs the
-// corresponding experiment and reports its key quantities as custom
-// metrics, so `go test -bench=. -benchmem` reproduces the full evaluation:
+// evaluation (the E1–E11 experiment functions of internal/experiments).
+// Each benchmark runs the corresponding experiment and reports its key
+// quantities as custom metrics, so `go test -bench=. -benchmem`
+// reproduces the full evaluation:
 //
 //	BenchmarkExampleL1Latency        — §III-A example (E1)
 //	BenchmarkNanoBenchKernelRuntime  — §III-K kernel timing (E2)

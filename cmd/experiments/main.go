@@ -1,6 +1,6 @@
 // Command experiments regenerates the tables and figures of the nanoBench
-// paper's evaluation (see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for recorded results). The experiments package drives
+// paper's evaluation: the E1–E11 experiments of the internal/experiments
+// package, each printed under its E-numbered heading. That package drives
 // the public Session API — its machines, sweeps, and caches go through
 // nanobench.Open — so this binary doubles as an end-to-end exercise of
 // the facade.

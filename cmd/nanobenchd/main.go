@@ -46,7 +46,7 @@ func main() {
 		jobQueue    = flag.Int("job_queue", jobs.DefaultQueueSize, "async job admission queue bound (full queue answers 429)")
 		jobWait     = flag.Duration("job_wait", 0, "how long a submission may wait for a queue slot before the 429 (0: fail fast)")
 		jobTTL      = flag.Duration("job_ttl", jobs.DefaultTTL, "how long finished job records are retained for result retrieval")
-		sweepShards = flag.Int("sweep_shards", server.DefaultSweepShards, "shards an async sweep job fans out across (byte-identical at any value)")
+		sweepShards = flag.Int("sweep_shards", server.DefaultSweepShards, "machines in flight per session for an async sweep job (byte-identical at any value)")
 	)
 	flag.Parse()
 

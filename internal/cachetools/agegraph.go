@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
+
+	"nanobench/internal/sched"
 )
 
 // AgeGraph holds the data of a Figure-1-style age graph: for every block
@@ -59,7 +60,9 @@ func (t *Tool) AgeSample(level Level, slice, set int, prefix Seq, block, fresh i
 // machine seed and the group, not of any previously simulated work), and
 // the group's trials run as one batched nanoBench invocation. This makes
 // the graph byte-identical at any worker count, so groups shard freely
-// across sibling tools when Workers and NewSibling are set.
+// across sibling tools when Workers and NewSibling are set. A running
+// group takes an idle tool and builds a sibling only when none is idle,
+// so at most Workers tools exist. The first failing group fails the graph.
 func (t *Tool) AgeGraphFor(level Level, slice, set int, prefix Seq, maxFresh, step, trials int) (*AgeGraph, error) {
 	if step < 1 {
 		step = 1
@@ -118,55 +121,38 @@ func (t *Tool) AgeGraphFor(level Level, slice, set int, prefix Seq, maxFresh, st
 		return nil
 	}
 
-	workers := t.Workers
-	if workers > len(groups) {
-		workers = len(groups)
+	workers := 1
+	if t.NewSibling != nil {
+		workers = max(t.Workers, 1)
 	}
-	if workers <= 1 || t.NewSibling == nil {
-		for gi := range groups {
-			if err := runGroup(t, gi); err != nil {
-				return nil, err
+	// Sized to the most tools that can exist, so returning one never
+	// blocks.
+	idle := make(chan *Tool, workers)
+	idle <- t
+	var failed atomic.Bool
+	err := sched.ForEach(len(groups), workers, func(gi int) error {
+		if failed.Load() {
+			return nil
+		}
+		var tt *Tool
+		select {
+		case tt = <-idle:
+		default:
+			var err error
+			if tt, err = t.NewSibling(); err != nil {
+				failed.Store(true)
+				return err
 			}
 		}
-		return g, nil
-	}
-
-	// Shard groups over sibling tools with an atomic work counter. Every
-	// group writes a distinct (bi, ki) cell, and its value is independent
-	// of which worker ran it (see above), so the only synchronization
-	// needed is the counter and the error slot.
-	var next int64
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			tt := t
-			if w > 0 {
-				var err error
-				if tt, err = t.NewSibling(); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-			for {
-				gi := int(atomic.AddInt64(&next, 1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				if err := runGroup(tt, gi); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		defer func() { idle <- tt }()
+		if err := runGroup(tt, gi); err != nil {
+			failed.Store(true)
+			return err
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
 }

@@ -1,6 +1,7 @@
 package cachetools
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -253,6 +254,29 @@ func TestAgeGraphShape(t *testing.T) {
 	}
 	if v, ok := g.SurvivalAt(0, 0); !ok || v != 1.0 {
 		t.Fatalf("SurvivalAt(0,0) = %v, %v", v, ok)
+	}
+}
+
+// TestRejectsLevelOutsideL1ToL3: every measuring entry point fails on a
+// level outside L1-L3 instead of measuring some other level's set, and
+// naming such a level does not panic.
+func TestRejectsLevelOutsideL1ToL3(t *testing.T) {
+	tool := newTool(t, "Skylake")
+	seq := MustParseSeq("<wbinvd> B0 B1 B0?")
+	for _, level := range []Level{0, 4, -1} {
+		name := level.String()
+		if want := fmt.Sprintf("Level(%d)", int(level)); name != want {
+			t.Errorf("Level(%d).String() = %q, want %q", int(level), name, want)
+		}
+		if res, err := tool.RunSeq(level, 0, 768, seq); err == nil {
+			t.Errorf("RunSeq(%s) = %+v, want an error", name, res)
+		}
+		if res, err := tool.InferPolicy(level, 0, 768, InferOptions{}); err == nil {
+			t.Errorf("InferPolicy(%s) = %+v, want an error", name, res)
+		}
+		if g, err := tool.AgeGraphFor(level, 0, 768, seq, 4, 2, 1); err == nil {
+			t.Errorf("AgeGraphFor(%s) = %+v, want an error", name, g)
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ func (p *PermCheck) OK() bool { return len(p.Mismatches) == 0 }
 //
 // The RTAS'13 paper searches for the permutations; here the candidate
 // produced by InferPolicy is verified instead, which exercises the same
-// measurements (this substitution is recorded in DESIGN.md).
+// measurements.
 func (t *Tool) VerifyPermutations(level Level, slice, set int, perms policy.Perms) (*PermCheck, error) {
 	assoc := perms.Assoc
 	check := &PermCheck{}

@@ -2,8 +2,10 @@ package cachetools
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
 
@@ -62,13 +64,26 @@ func TestSeqReplayMatchesFullSimTrials(t *testing.T) {
 }
 
 // TestSeqReplayMatchesFullSimAgeGraph reruns a small Figure-1-style age
-// graph (Ivy Bridge L3 set 768, probabilistic adaptive leader) both ways.
-// Age-graph groups restream the hierarchy and batch trials — the exact
-// shape the fast path serves in campaigns.
+// graph (Ivy Bridge L3 set 768, probabilistic adaptive leader) both ways,
+// and once more with the replayed groups sharded over three workers,
+// which may build at most two siblings. Age-graph groups restream the
+// hierarchy and batch trials — the exact shape the fast path serves in
+// campaigns.
 func TestSeqReplayMatchesFullSimAgeGraph(t *testing.T) {
 	fast := newTool(t, "IvyBridge")
 	slow := newTool(t, "IvyBridge")
 	slow.R.SetSeqReplay(false)
+	sharded := newTool(t, "IvyBridge")
+	sharded.Workers = 3
+	spares := []*Tool{newTool(t, "IvyBridge"), newTool(t, "IvyBridge")}
+	var siblings atomic.Int32
+	sharded.NewSibling = func() (*Tool, error) {
+		n := int(siblings.Add(1))
+		if n > len(spares) {
+			return nil, fmt.Errorf("sibling %d built for %d workers", n, sharded.Workers)
+		}
+		return spares[n-1], nil
+	}
 
 	prefix := SeqOf(true, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 	got, err := fast.AgeGraphFor(L3, 0, 768, prefix, 32, 16, 4)
@@ -81,6 +96,13 @@ func TestSeqReplayMatchesFullSimAgeGraph(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("age graphs differ:\nreplay:   %+v\nfull sim: %+v", got, want)
+	}
+	gotSharded, err := sharded.AgeGraphFor(L3, 0, 768, prefix, 32, 16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotSharded, want) {
+		t.Fatalf("age graphs differ:\nsharded:  %+v\nfull sim: %+v", gotSharded, want)
 	}
 	if replays, _ := fast.R.SeqReplayStats(); replays == 0 {
 		t.Fatal("fast path never replayed a run")

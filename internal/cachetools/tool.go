@@ -27,7 +27,10 @@ const (
 )
 
 func (l Level) String() string {
-	return [4]string{"?", "L1", "L2", "L3"}[l]
+	if l < L1 || l > L3 {
+		return fmt.Sprintf("Level(%d)", int(l))
+	}
+	return [...]string{L1: "L1", L2: "L2", L3: "L3"}[l]
 }
 
 // Tool runs cache microbenchmarks through the kernel-space nanoBench
@@ -39,12 +42,14 @@ type Tool struct {
 
 	// Workers bounds the parallelism of shardable campaigns (currently
 	// AgeGraphFor): independent (block, fresh-count) groups are
-	// distributed over sibling tools. 0 or 1 runs sequentially. Because
-	// every group restreams the simulated hierarchy to a group-derived
-	// RNG stream first, results are byte-identical at any worker count.
+	// distributed over this tool and at most Workers-1 siblings. 0 or 1
+	// runs on this tool alone. Because every group restreams the
+	// simulated hierarchy to a group-derived RNG stream first, results
+	// are byte-identical at any worker count.
 	Workers int
 	// NewSibling builds an independent tool on its own machine with the
-	// same specification and seed; required for Workers > 1.
+	// same specification and seed; without it, campaigns run on this
+	// tool alone whatever Workers says.
 	NewSibling func() (*Tool, error)
 
 	// blockCache memoizes block addresses per (level, slice, set).
@@ -375,6 +380,9 @@ func (t *Tool) RunSeqContext(ctx context.Context, level Level, slice, set int, s
 // inter-access higher-level evictions with counting paused, measured
 // accesses with counting enabled (Section VI-C).
 func (t *Tool) seqCode(level Level, slice, set int, seq Seq) (code []byte, measured int, err error) {
+	if level < L1 || level > L3 {
+		return nil, 0, fmt.Errorf("cachetools: cache level %d outside L1-L3", int(level))
+	}
 	maxIdx := -1
 	for _, a := range seq.Accesses {
 		if a.Block > maxIdx {

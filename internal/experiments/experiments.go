@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the nanoBench
-// paper's evaluation on the simulated machines, plus the ablations listed
-// in DESIGN.md. The cmd/experiments binary and the top-level benchmark
-// harness both drive these functions; EXPERIMENTS.md records their output
-// against the paper's numbers.
+// paper's evaluation on the simulated machines, plus ablations, as the
+// experiments E1–E11 (each function prints under its E-numbered
+// heading). The cmd/experiments binary and the top-level benchmark
+// harness both drive these functions.
 package experiments
 
 import (

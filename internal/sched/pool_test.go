@@ -103,10 +103,10 @@ func TestResetMatchesFresh(t *testing.T) {
 }
 
 // TestPoolSharedAcrossConcurrentBatches runs the executor calls behind
-// Session.RunBatch (RunContext) and Session.StreamSharded (single-worker
-// StreamIndexed shards) for two CPU models from several goroutines at
-// once, all drawing on the shared machine pools, and requires every result
-// to equal a serial run on fresh machines. Run it under -race.
+// Session.RunBatch (RunContext) and Session.StreamSharded (StreamContext
+// on three workers) for two CPU models from several goroutines at once,
+// all drawing on the shared machine pools, and requires every result to
+// equal a serial run on fresh machines. Run it under -race.
 func TestPoolSharedAcrossConcurrentBatches(t *testing.T) {
 	const root = 11
 	var jobs []Job
@@ -152,23 +152,10 @@ func TestPoolSharedAcrossConcurrentBatches(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			const shards = 3
-			var swg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				var ijobs []IndexedJob
-				for i := s; i < len(jobs); i += shards {
-					ijobs = append(ijobs, IndexedJob{Job: jobs[i], Index: i})
-				}
-				swg.Add(1)
-				go func() {
-					defer swg.Done()
-					ex := New(Options{Workers: 1, RootSeed: root})
-					for it := range ex.StreamIndexed(context.Background(), ijobs) {
-						check("shard", ijobs[it.Index].Index, outcome(it.Result, it.Err))
-					}
-				}()
+			ex := New(Options{Workers: 3, RootSeed: root})
+			for it := range ex.StreamContext(context.Background(), jobs) {
+				check("stream", it.Index, outcome(it.Result, it.Err))
 			}
-			swg.Wait()
 		}()
 	}
 	wg.Wait()

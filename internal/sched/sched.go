@@ -1,12 +1,17 @@
-// Package sched is a deterministic work-stealing batch executor for
-// microbenchmark sweeps. It fans a slice of jobs — each a (CPU model,
-// privilege mode, nano.Config) triple — out across a pool of
-// independently-seeded simulated machines, one live machine per in-flight
-// job (a machine.Machine is single-threaded), and memoizes results in a
-// content-addressed cache so repeated sweeps hit memory instead of
-// re-simulating. Machines are reused across evaluations: before each
-// use, machine.(*Machine).Reset puts a pooled machine in exactly the
-// state a fresh build with the job's seed has.
+// Package sched is a deterministic batch executor for microbenchmark
+// sweeps. It fans a slice of jobs — each a (CPU model, privilege mode,
+// nano.Config) triple — out across independently-seeded simulated
+// machines, one live machine per in-flight job (a machine.Machine is
+// single-threaded), and memoizes results in a content-addressed cache so
+// repeated sweeps hit memory instead of re-simulating. Machines are reused
+// across evaluations: before each use, machine.(*Machine).Reset puts a
+// pooled machine in exactly the state a fresh build with the job's seed
+// has.
+//
+// ForEach is the repository's one fan-out and InOrder its one in-order
+// merge: the executor, the server's multi-session merge, the experiment
+// sweeps and the age graphs fan out through ForEach, and the executor's
+// streams and the server's merge deliver through InOrder.
 //
 // # Seeding and determinism contract
 //
@@ -40,6 +45,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"nanobench/internal/nano"
 	"nanobench/internal/sim/machine"
@@ -118,7 +124,7 @@ func (e *Executor) Run(jobs []Job) ([]*nano.Result, error) {
 func (e *Executor) RunContext(ctx context.Context, jobs []Job) ([]*nano.Result, error) {
 	results := make([]*nano.Result, len(jobs))
 	errs := make([]error, len(jobs))
-	e.execute(ctx, jobs, nil, func(it Item) {
+	e.execute(ctx, jobs, func(it Item) {
 		results[it.Index] = it.Result
 		errs[it.Index] = it.Err
 	})
@@ -140,154 +146,71 @@ func (e *Executor) Stream(jobs []Job) <-chan Item {
 // never block on a cancelled sweep, and no worker goroutine outlives it
 // beyond the unit it was simulating.
 func (e *Executor) StreamContext(ctx context.Context, jobs []Job) <-chan Item {
-	return e.stream(ctx, jobs, nil)
+	return InOrder(len(jobs), func(put func(Item)) { e.execute(ctx, jobs, put) })
 }
 
-// IndexedJob is a Job whose machine seed derives from an explicit batch
-// index instead of the job's position in the submitted slice. It is the
-// primitive behind sharded sweeps: a coordinator that expands and
-// deduplicates a batch globally can split the surviving evaluations
-// across shards while every shard still derives exactly the seeds the
-// single-process batch would have — making the merged results
-// byte-identical by construction.
-type IndexedJob struct {
-	// Job is the evaluation to run.
-	Job Job
-	// Index is the batch index the machine seed derives from
-	// (DeriveSeed(root, Index)); it also keys the result cache together
-	// with the job's content.
-	Index int
-}
-
-// StreamIndexed evaluates the indexed jobs and delivers their results
-// like StreamContext: Item.Index is the POSITION in the submitted slice
-// (0-based, delivered in order), while each machine seed derives from
-// the IndexedJob's explicit Index. Jobs sharing a content key are
-// deduplicated; the representative is the one with the lowest explicit
-// Index, matching what a whole-batch submission would pick.
-func (e *Executor) StreamIndexed(ctx context.Context, ijobs []IndexedJob) <-chan Item {
-	jobs := make([]Job, len(ijobs))
-	seedIdx := make([]int, len(ijobs))
-	for i, ij := range ijobs {
-		jobs[i] = ij.Job
-		seedIdx[i] = ij.Index
-	}
-	return e.stream(ctx, jobs, seedIdx)
-}
-
-// stream sequences execute's out-of-order deliveries into an in-order
-// channel. A nil seedIdx means positional seeding (seedIdx[i] == i).
-func (e *Executor) stream(ctx context.Context, jobs []Job, seedIdx []int) <-chan Item {
-	// Buffered to len(jobs): the sequencer can always run to completion
-	// and exit, so a consumer that abandons the channel early leaks
-	// nothing beyond the (garbage-collectable) buffered items.
-	out := make(chan Item, len(jobs))
+// InOrder runs produce on its own goroutine and returns a channel that
+// delivers the items produce puts in Index order, each as soon as it and
+// all its predecessors are ready. produce must put exactly one item for
+// every index in [0, n), from any goroutines, before it returns; the
+// channel closes when produce returns. The channel is buffered to n, so
+// the producer never waits for the consumer, and a consumer that
+// abandons the channel early leaks nothing beyond the buffered items.
+func InOrder(n int, produce func(put func(Item))) <-chan Item {
+	out := make(chan Item, n)
 	go func() {
 		defer close(out)
 		var mu sync.Mutex
-		cond := sync.NewCond(&mu)
-		ready := make([]bool, len(jobs))
-		items := make([]Item, len(jobs))
-		go func() {
-			e.execute(ctx, jobs, seedIdx, func(it Item) {
-				mu.Lock()
-				items[it.Index] = it
-				ready[it.Index] = true
-				cond.Broadcast()
-				mu.Unlock()
-			})
-		}()
-		for i := range jobs {
+		items := make([]Item, n)
+		ready := make([]bool, n)
+		next := 0
+		produce(func(it Item) {
 			mu.Lock()
-			for !ready[i] {
-				cond.Wait()
+			defer mu.Unlock()
+			items[it.Index], ready[it.Index] = it, true
+			// Never blocks: out has room for all n items.
+			for ; next < n && ready[next]; next++ {
+				out <- items[next]
 			}
-			it := items[i]
-			mu.Unlock()
-			out <- it
-		}
+		})
 	}()
 	return out
 }
 
 // unit is one deduplicated evaluation: the set of job positions sharing a
-// content key. The position with the lowest seed index is the
-// representative; it alone determines the machine seed.
+// content key. The lowest position is the representative; it alone
+// determines the machine seed.
 type unit struct {
 	key  Key
 	rep  int
-	seed int // the representative's seed-deriving batch index
 	jobs []int
 }
 
 // execute runs the batch, calling deliver exactly once per job position
-// (from worker goroutines; deliver must be safe for concurrent use). A nil
-// seedIdx derives each machine seed from the job's position; otherwise
-// seedIdx[i] supplies the batch index position i's seed derives from.
+// (from worker goroutines; deliver must be safe for concurrent use).
 // When ctx is cancelled, in-flight units still deliver (the runner aborts
 // between measurement runs), and every not-yet-started unit delivers the
-// context's error instead of simulating.
-func (e *Executor) execute(ctx context.Context, jobs []Job, seedIdx []int, deliver func(Item)) {
-	at := func(i int) int { return i }
-	if seedIdx != nil {
-		at = func(i int) int { return seedIdx[i] }
-	}
+// context's error instead of simulating. Which worker runs a unit affects
+// nothing: every result is fully determined by the unit itself.
+func (e *Executor) execute(ctx context.Context, jobs []Job, deliver func(Item)) {
 	byKey := make(map[Key]*unit, len(jobs))
 	var units []*unit
 	for i, j := range jobs {
 		k := KeyOf(j)
 		u := byKey[k]
 		if u == nil {
-			u = &unit{key: k, rep: i, seed: at(i)}
+			u = &unit{key: k, rep: i}
 			byKey[k] = u
 			units = append(units, u)
-		} else if at(i) < u.seed {
-			u.rep, u.seed = i, at(i)
 		}
 		u.jobs = append(u.jobs, i)
 	}
-
-	workers := e.opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if len(units) == 0 {
-		return
-	}
-
-	// Deal the units round-robin into per-worker deques; idle workers
-	// steal from the tail of their neighbours' deques. Placement and
-	// stealing affect only which worker simulates a unit — every result
-	// is fully determined by the unit itself.
-	queues := make([]*deque, workers)
-	for w := range queues {
-		queues[w] = &deque{}
-	}
-	for i, u := range units {
-		queues[i%workers].push(u)
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			for {
-				u, ok := queues[self].pop()
-				if !ok {
-					u, ok = steal(queues, self)
-				}
-				if !ok {
-					return
-				}
-				e.runUnit(ctx, jobs, u, deliver)
-			}
-		}(w)
-	}
-	wg.Wait()
+	// runUnit reports failures through deliver, so ForEach's joined
+	// error is always nil.
+	_ = ForEach(len(units), e.opts.Workers, func(i int) error {
+		e.runUnit(ctx, jobs, units[i], deliver)
+		return nil
+	})
 }
 
 // runUnit fulfils every job index of one deduplicated unit: from the cache
@@ -301,7 +224,7 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 		}
 		return
 	}
-	seed := DeriveSeed(e.opts.RootSeed, u.seed)
+	seed := DeriveSeed(e.opts.RootSeed, u.rep)
 	cacheKey := withSeed(u.key, seed)
 	if c := e.opts.Cache; c != nil {
 		if hit := c.get(cacheKey); hit != nil {
@@ -343,7 +266,8 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 
 // machines pools evaluation machines per CPU model, keyed by catalog
 // name. The map is filled once at start-up and only read afterwards; each
-// sync.Pool is safe for the workers, shards and handlers that share it.
+// sync.Pool is safe for the concurrent executors and experiments that
+// share it.
 // Only machines lent through Lend (by evaluate and the internal
 // experiment drivers) are pooled, and only between a release and the next
 // lend: a machine handed to a caller for keeps is never reused behind its
@@ -429,65 +353,13 @@ func newRunner(m *machine.Machine, j Job) (*nano.Runner, error) {
 	return r, nil
 }
 
-// deque is a mutex-guarded work-stealing deque of units: the owner pops
-// from the front — units were dealt in index order, so completion tracks
-// job order and Stream consumers see progressive delivery instead of a
-// burst at the end — and thieves take from the back, keeping contention
-// at opposite ends. (Units never spawn further units, so the classic
-// LIFO-owner discipline would buy no locality here.)
-type deque struct {
-	mu    sync.Mutex
-	units []*unit
-}
-
-func (d *deque) push(u *unit) {
-	d.mu.Lock()
-	d.units = append(d.units, u)
-	d.mu.Unlock()
-}
-
-func (d *deque) pop() (*unit, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.units) == 0 {
-		return nil, false
-	}
-	u := d.units[0]
-	d.units = d.units[1:]
-	return u, true
-}
-
-func (d *deque) stealTail() (*unit, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.units)
-	if n == 0 {
-		return nil, false
-	}
-	u := d.units[n-1]
-	d.units = d.units[:n-1]
-	return u, true
-}
-
-// steal scans the other workers' deques round-robin starting after self.
-// Units never spawn further units, so an empty sweep means the pool is
-// drained and the worker can retire.
-func steal(queues []*deque, self int) (*unit, bool) {
-	for off := 1; off < len(queues); off++ {
-		if u, ok := queues[(self+off)%len(queues)].stealTail(); ok {
-			return u, true
-		}
-	}
-	return nil, false
-}
-
-// ForEach runs fn(0), …, fn(n-1) across min(workers, n) goroutines (0 or
+// ForEach runs fn(0), …, fn(n-1) on min(workers, n) goroutines (0 or
 // negative workers means runtime.NumCPU()) and returns the joined errors.
-// Every index runs exactly once even when earlier indices fail; callers
-// that need deterministic output should write into per-index slots and
-// emit them after ForEach returns. It is the generic fan-out the
-// experiment sweeps use for work — like Table I's per-CPU policy
-// inference — that is coarser than a single nano.Config.
+// The goroutines claim indices in increasing order from one shared
+// cursor, so every index runs exactly once even when others fail, at most
+// min(workers, n) calls run at once, and one worker runs the indices in
+// order. Callers that need deterministic output write into per-index
+// slots, or put items into InOrder.
 func ForEach(n, workers int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -495,23 +367,15 @@ func ForEach(n, workers int, fn func(i int) error) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(workers, n)
 	errs := make([]error, n)
-	next := make(chan int)
-	go func() {
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-	}()
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				errs[i] = fn(i)
 			}
 		}()

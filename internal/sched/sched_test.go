@@ -5,8 +5,10 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nanobench/internal/nano"
 	"nanobench/internal/perfcfg"
@@ -330,6 +332,36 @@ func TestForEachRunsEveryIndexDespiteErrors(t *testing.T) {
 	}
 	if err := ForEach(0, 4, func(int) error { return boom }); err != nil {
 		t.Errorf("ForEach(0, ...) = %v", err)
+	}
+
+	// At most workers calls run at once: each call lingers so that an
+	// unbounded fan-out would overlap far more of them.
+	const workers = 3
+	var mu sync.Mutex
+	running, peak := 0, 0
+	_ = ForEach(32, workers, func(int) error {
+		mu.Lock()
+		running++
+		peak = max(peak, running)
+		mu.Unlock()
+		time.Sleep(time.Millisecond)
+		mu.Lock()
+		running--
+		mu.Unlock()
+		return nil
+	})
+	if peak > workers {
+		t.Errorf("%d calls ran at once with %d workers", peak, workers)
+	}
+
+	// One worker runs the indices in order.
+	var order []int
+	_ = ForEach(8, 1, func(i int) error {
+		order = append(order, i)
+		return nil
+	})
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(order, want) {
+		t.Errorf("one worker ran %v, want %v", order, want)
 	}
 }
 

@@ -3,9 +3,9 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"nanobench"
+	"nanobench/internal/sched"
 )
 
 // This file is the shared evaluation core behind the synchronous
@@ -121,26 +121,20 @@ func (s *Server) groupJobs(n int, label string, entry func(i int) (cpu, mode str
 
 // mergeGroups drains every group's stream concurrently and delivers the
 // items over one channel in global index order, each as soon as it and
-// all its predecessors are ready. shards > 1 routes every group through
-// the session's sharded merge path (StreamSharded) — the fan-out
+// all its predecessors are ready. shards > 1 streams every group through
+// StreamSharded with that many machines in flight — the fan-out
 // asynchronous sweep jobs use; either way the delivered bytes are
-// identical, which the shard-equivalence test pins.
+// identical, which the sweep-job equivalence test pins.
 //
 // On cancellation the sessions deliver the remaining items carrying the
-// context error, so the sequencer always retires and the channel always
-// closes; the channel is buffered to n, so draining never blocks.
+// context error, so every index is still delivered and the channel
+// always closes.
 func mergeGroups(ctx context.Context, groups []*evalGroup, n, shards int) <-chan nanobench.BatchItem {
-	out := make(chan nanobench.BatchItem, n)
-	if n == 0 {
-		close(out)
-		return out
-	}
-	var mu sync.Mutex
-	cond := sync.NewCond(&mu)
-	ready := make([]bool, n)
-	items := make([]nanobench.BatchItem, n)
-	for _, g := range groups {
-		go func(g *evalGroup) {
+	return sched.InOrder(n, func(put func(nanobench.BatchItem)) {
+		// One worker per group, so every session evaluates at once.
+		// Items carry their own errors, so ForEach returns nil.
+		_ = sched.ForEach(len(groups), len(groups), func(gi int) error {
+			g := groups[gi]
 			var ch <-chan nanobench.BatchItem
 			if shards > 1 {
 				ch = g.sess.StreamSharded(ctx, g.cfgs, shards)
@@ -148,27 +142,10 @@ func mergeGroups(ctx context.Context, groups []*evalGroup, n, shards int) <-chan
 				ch = g.sess.Stream(ctx, g.cfgs)
 			}
 			for it := range ch {
-				mu.Lock()
-				idx := g.indices[it.Index]
-				it.Index = idx
-				items[idx] = it
-				ready[idx] = true
-				cond.Broadcast()
-				mu.Unlock()
+				it.Index = g.indices[it.Index]
+				put(it)
 			}
-		}(g)
-	}
-	go func() {
-		defer close(out)
-		for i := 0; i < n; i++ {
-			mu.Lock()
-			for !ready[i] {
-				cond.Wait()
-			}
-			it := items[i]
-			mu.Unlock()
-			out <- it
-		}
-	}()
-	return out
+			return nil
+		})
+	})
 }

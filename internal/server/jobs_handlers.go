@@ -23,8 +23,9 @@ import (
 //	DELETE /v1/jobs/{id}           cancel (park queued, interrupt running)
 //
 // A done job's result bytes are exactly what the synchronous endpoint
-// would have written — sweep jobs additionally fan out across the
-// session's shard-merge path, which is byte-identical by construction.
+// would have written — sweep jobs additionally evaluate with SweepShards
+// machines in flight per session (Session.StreamSharded), which is
+// byte-identical by construction.
 
 // jobSubmitRequest is the body of POST /v1/jobs: exactly one of the
 // synchronous request bodies, keyed by its endpoint name — or a

@@ -46,7 +46,8 @@ const (
 	DefaultMaxBatch = 65536
 	// DefaultMaxBodyBytes bounds the request body size.
 	DefaultMaxBodyBytes = 8 << 20
-	// DefaultSweepShards is the fan-out of an asynchronous sweep job.
+	// DefaultSweepShards is how many machines an asynchronous sweep job
+	// keeps in flight per session.
 	DefaultSweepShards = 4
 )
 
@@ -84,9 +85,9 @@ type Options struct {
 	// JobTTL retains finished job records for result retrieval
 	// (0: jobs.DefaultTTL).
 	JobTTL time.Duration
-	// SweepShards is how many shards an asynchronous sweep job fans out
-	// across — byte-identical to the synchronous path at any value
-	// (0: DefaultSweepShards).
+	// SweepShards is how many machines per session an asynchronous sweep
+	// job keeps in flight (Session.StreamSharded) — byte-identical to the
+	// synchronous path at any value (0: DefaultSweepShards).
 	SweepShards int
 
 	// now overrides the job subsystem's clock; tests inject a

@@ -14,8 +14,9 @@ import (
 // When a write fails the client is gone; net/http then cancels the
 // request context, which aborts the in-flight evaluations between
 // benchmark runs. The channel is drained (it is buffered to the sweep
-// size, so this never blocks on a dead consumer) to let the sequencer
-// retire cleanly.
+// size, so this never blocks on a dead consumer) so the handler returns
+// only once the cancelled evaluations have delivered and the merge has
+// closed the channel.
 func (s *Server) streamItems(w http.ResponseWriter, items <-chan nanobench.BatchItem) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	// Tell buffering reverse proxies not to defeat the progressive

@@ -4,9 +4,10 @@
 // assembler in internal/x86.
 //
 // The timing model is the substrate substitution for real hardware (see
-// DESIGN.md): performance counters are sampled at the cycle the reading
-// µop executes, so measurement code exhibits the same serialization
-// hazards, overheads, and interrupt noise the nanoBench paper addresses.
+// docs/ARCHITECTURE.md): performance counters are sampled at the cycle
+// the reading µop executes, so measurement code exhibits the same
+// serialization hazards, overheads, and interrupt noise the nanoBench
+// paper addresses.
 package machine
 
 import (

@@ -3,9 +3,10 @@
 // 2020), built on a simulated x86 machine.
 //
 // The public API is organized around the Session type: a session is
-// opened once with functional options, owns its pool of simulated
-// machines, its scheduler, and its result cache, and evaluates one or
-// many microbenchmark configurations under a context.Context:
+// opened once with functional options, owns its scheduler and its result
+// cache, and evaluates one or many microbenchmark configurations under a
+// context.Context, each on a simulated machine borrowed from the
+// scheduler's process-wide pools:
 //
 //	s, _ := nanobench.Open(nanobench.WithCPU("Skylake"), nanobench.WithSeed(42))
 //	res, _ := s.Run(ctx, nanobench.Config{

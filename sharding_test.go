@@ -74,6 +74,34 @@ func TestStreamShardedMatchesStream(t *testing.T) {
 	}
 }
 
+// TestStreamShardedFailuresMatchStream: a failing config's item carries
+// the same error text through StreamSharded as through Stream, which
+// names the config's batch index, so an asynchronous sweep job reports
+// the failure exactly as the synchronous sweep does.
+func TestStreamShardedFailuresMatchStream(t *testing.T) {
+	cfgs := append(sweepConfigs(4), Config{Code: MustAsm("mov rax, [0]")})
+	errTexts := func(items []BatchItem) []string {
+		out := make([]string, len(items))
+		for i, it := range items {
+			if it.Err != nil {
+				out[i] = it.Err.Error()
+			}
+		}
+		return out
+	}
+	sess := openT(t, WithCPU("Skylake"), WithSeed(42), WithMode(User))
+	want := errTexts(collectItems(t, sess.Stream(context.Background(), cfgs), len(cfgs)))
+	if want[len(cfgs)-1] == "" {
+		t.Fatal("the faulting config did not fail")
+	}
+	for _, shards := range []int{2, 3} {
+		got := errTexts(collectItems(t, sess.StreamSharded(context.Background(), cfgs, shards), len(cfgs)))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: item errors\n%q\nwant (Stream)\n%q", shards, got, want)
+		}
+	}
+}
+
 func TestStreamShardedCancel(t *testing.T) {
 	sess := openT(t, WithCPU("Skylake"), WithSeed(42), WithParallelism(1))
 	cfgs := sweepConfigs(8)
