@@ -121,9 +121,10 @@ func (t *Tool) AgeGraphFor(level Level, slice, set int, prefix Seq, maxFresh, st
 		return nil
 	}
 
+	// No more tools than groups can run at once.
 	workers := 1
 	if t.NewSibling != nil {
-		workers = max(t.Workers, 1)
+		workers = max(min(t.Workers, len(groups)), 1)
 	}
 	// Sized to the most tools that can exist, so returning one never
 	// blocks.

@@ -54,7 +54,6 @@ type Tool struct {
 
 	// blockCache memoizes block addresses per (level, slice, set).
 	blockCache map[blockKey][]uint32
-	evictCache map[evictKey][]uint32
 	// evictCodeCache memoizes the encoded eviction-load block per target.
 	evictCodeCache map[evictKey][]byte
 	// sigSuite/sigCache memoize the per-associativity probe suite and each
@@ -97,7 +96,6 @@ func New(r *nano.Runner) (*Tool, error) {
 	return &Tool{
 		R:              r,
 		blockCache:     map[blockKey][]uint32{},
-		evictCache:     map[evictKey][]uint32{},
 		evictCodeCache: map[evictKey][]byte{},
 		sigSuite:       map[int][][]int{},
 		sigCache:       map[sigKey]string{},
@@ -200,17 +198,10 @@ func (t *Tool) Blocks(level Level, slice, set, n int) ([]uint32, error) {
 // same-set accesses so that every measured access actually reaches the
 // target level (Section VI-C).
 func (t *Tool) evictAddrs(level Level, physTarget uint64) ([]uint32, error) {
-	key := evictKey{level, physTarget >> 6}
-	if addrs, ok := t.evictCache[key]; ok {
-		return addrs, nil
-	}
 	h := t.R.M.Hier
 	var want int
 	match := func(p uint64) bool { return false }
 	switch level {
-	case L1:
-		t.evictCache[key] = nil
-		return nil, nil
 	case L2:
 		want = 2 * h.L1D.Geom.Assoc
 		match = func(p uint64) bool {
@@ -254,7 +245,6 @@ func (t *Tool) evictAddrs(level Level, physTarget uint64) ([]uint32, error) {
 	if len(out) < want {
 		return nil, fmt.Errorf("cachetools: only %d of %d eviction lines for %s", len(out), want, level)
 	}
-	t.evictCache[key] = out
 	return out, nil
 }
 

@@ -132,30 +132,97 @@ func ParseLevels(names []string) ([]cachetools.Level, error) {
 	return out, nil
 }
 
-// campaignTarget resolves the probed (slice, set) and the model's injected
-// ground-truth policy for one cell, matching Table1's choices: L1 set 37,
-// L2 set 300, L3 set 600 — or the deterministic leader set 520 on
-// adaptive models.
-func campaignTarget(cpu uarch.CPU, level cachetools.Level) (slice, set int, expected string) {
+// cell is one replacement-policy inference target: a model's cache level
+// at one (slice, set), with the policy the model injects there.
+type cell struct {
+	cpu        uarch.CPU
+	level      cachetools.Level
+	slice, set int
+	expected   string
+}
+
+// newCell returns the cell Table I and the campaign probe at a level: L1
+// set 37, L2 set 300, L3 set 600 — or the deterministic leader set 520
+// on adaptive models.
+func newCell(cpu uarch.CPU, level cachetools.Level) cell {
 	switch level {
 	case cachetools.L1:
-		return 0, 37, cpu.L1Policy
+		return cell{cpu, level, 0, 37, cpu.L1Policy}
 	case cachetools.L2:
-		return 0, 300, cpu.L2Policy
-	default:
-		if cpu.L3Adaptive != nil {
-			return leaderSlice(cpu), 520, cpu.L3Adaptive.PolicyA
-		}
-		return 0, 600, cpu.L3Policy
+		// L2 set 300 exists on every model (the older generations have
+		// only 512 L2 sets) and is clear of the code region's lines.
+		return cell{cpu, level, 0, 300, cpu.L2Policy}
 	}
+	if a := cpu.L3Adaptive; a != nil {
+		return cell{cpu, level, rangeSlice(a.ARanges, 520), 520, a.PolicyA}
+	}
+	return cell{cpu, level, 0, 600, cpu.L3Policy}
+}
+
+// rangeSlice returns the slice of the first leader range covering set,
+// or 0 when that range spans every slice or no range covers set.
+func rangeSlice(ranges []uarch.SetRange, set int) int {
+	for _, r := range ranges {
+		if r.Lo <= set && set <= r.Hi {
+			return max(r.Slice, 0)
+		}
+	}
+	return 0
+}
+
+// inferCells runs the policy inference of every cell and returns the
+// outcomes row by row. A row's cells all probe one model and run in order
+// on one lent tool, so they share its memoized candidate signatures; the
+// rows fan out across workers. step, if non-nil, is called once per
+// finished cell.
+func inferCells(ctx context.Context, rows [][]cell, maxSeq int, seed int64, workers int, step func()) ([][]CampaignCell, error) {
+	out := make([][]CampaignCell, len(rows))
+	err := sched.ForEach(len(rows), workers, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		var l lender
+		defer l.release()
+		tool, err := l.tool(rows[i][0].cpu.Name)
+		if err != nil {
+			return err
+		}
+		out[i] = make([]CampaignCell, len(rows[i]))
+		for j, c := range rows[i] {
+			res, err := tool.InferPolicyContext(ctx, c.level, c.slice, c.set, cachetools.InferOptions{
+				MaxSequences: maxSeq, Seed: seed,
+			})
+			if err != nil {
+				return err
+			}
+			name := "probabilistic"
+			if len(res.Classes) > 0 {
+				name, _ = res.Unique()
+			}
+			out[i][j] = CampaignCell{
+				CPU:       c.cpu.Name,
+				Level:     c.level.String(),
+				Slice:     c.slice,
+				Set:       c.set,
+				Policy:    name,
+				OK:        policiesEquivalent(name, c.expected, tool.Assoc(c.level)),
+				Sequences: res.SequencesUsed,
+			}
+			if step != nil {
+				step()
+			}
+		}
+		return nil
+	})
+	return out, err
 }
 
 // PolicyCampaign runs the campaign. step, if non-nil, is called once per
 // finished cell and age row (the jobs API forwards it to the job's
-// progress counter). Cells fan out across Workers; each age row instead
-// shards its independent (block, fresh-count) groups across sibling tools
-// (cachetools.Tool.Workers/NewSibling), keeping the machines saturated
-// when the campaign tail narrows to a few adaptive models.
+// progress counter). Cells fan out across Workers, each on its own tool;
+// each age row instead shards its independent (block, fresh-count) groups
+// across sibling tools (ageGraph), keeping the machines saturated when
+// the campaign tail narrows to a few adaptive models.
 func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*CampaignResult, error) {
 	cpus, err := campaignCPUs(opt.CPUs)
 	if err != nil {
@@ -174,62 +241,21 @@ func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*Cam
 	if workers <= 0 {
 		workers = Workers
 	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
 
-	type cellSpec struct {
-		cpu   uarch.CPU
-		level cachetools.Level
-	}
-	specs := make([]cellSpec, 0, len(cpus)*len(levels))
+	rows := make([][]cell, 0, len(cpus)*len(levels))
 	for _, cpu := range cpus {
 		for _, level := range levels {
-			specs = append(specs, cellSpec{cpu, level})
+			rows = append(rows, []cell{newCell(cpu, level)})
 		}
 	}
-	cells := make([]CampaignCell, len(specs))
-	err = sched.ForEach(len(specs), workers, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sp := specs[i]
-		cpu := sp.cpu
-		var l lender
-		defer l.release()
-		tool, err := l.tool(cpu.Name)
-		if err != nil {
-			return err
-		}
-		slice, set, expected := campaignTarget(cpu, sp.level)
-		res, err := tool.InferPolicyContext(ctx, sp.level, slice, set, cachetools.InferOptions{
-			MaxSequences: maxSeq, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		name := "probabilistic"
-		if len(res.Classes) > 0 {
-			name, _ = res.Unique()
-		}
-		cells[i] = CampaignCell{
-			CPU:       cpu.Name,
-			Level:     sp.level.String(),
-			Slice:     slice,
-			Set:       set,
-			Policy:    name,
-			OK:        policiesEquivalent(name, expected, tool.Assoc(sp.level)),
-			Sequences: res.SequencesUsed,
-		}
-		if step != nil {
-			step()
-		}
-		return nil
-	})
+	cells, err := inferCells(ctx, rows, maxSeq, seed, workers, step)
 	if err != nil {
 		return nil, err
 	}
-	result := &CampaignResult{Cells: cells}
+	result := &CampaignResult{Cells: make([]CampaignCell, len(cells))}
+	for i, row := range cells {
+		result.Cells[i] = row[0]
+	}
 	if !opt.AgeGraphs {
 		return result, nil
 	}
@@ -244,7 +270,6 @@ func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*Cam
 	if trials <= 0 {
 		trials = 8
 	}
-	prefix := cachetools.SeqOf(true, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 	for _, cpu := range cpus {
 		if cpu.L3Adaptive == nil {
 			continue
@@ -252,11 +277,12 @@ func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*Cam
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		row, err := campaignAgeRow(cpu, workers, prefix, maxFresh, ageStep, trials)
+		slice, set := rangeSlice(cpu.L3Adaptive.BRanges, 780), 780
+		g, err := ageGraph(cpu.Name, slice, set, workers, maxFresh, ageStep, trials)
 		if err != nil {
 			return nil, err
 		}
-		result.AgeRows = append(result.AgeRows, row)
+		result.AgeRows = append(result.AgeRows, CampaignAgeRow{CPU: cpu.Name, Slice: slice, Set: set, Graph: g})
 		if step != nil {
 			step()
 		}
@@ -264,24 +290,27 @@ func PolicyCampaign(ctx context.Context, opt CampaignOptions, step func()) (*Cam
 	return result, nil
 }
 
-// campaignAgeRow measures one adaptive model's stochastic-leader age
-// graph, sharding its groups over workers sibling tools; every runner is
-// returned to the pool once AgeGraphFor returns.
-func campaignAgeRow(cpu uarch.CPU, workers int, prefix cachetools.Seq, maxFresh, step, trials int) (CampaignAgeRow, error) {
+// ageGraph measures the age graph of the prefix <WBINVD> B0..B11 in one
+// L3 set (Section VI-C2, Figure 1) on a lent tool of the model. The
+// (block, fresh-count) groups are independent (each restreams the
+// simulated hierarchy first), so they shard across up to workers sibling
+// tools (0 means runtime.NumCPU()), and the graph is byte-identical at
+// any worker count. Every runner returns to the pool once the graph is
+// measured.
+func ageGraph(cpu string, slice, set, workers, maxFresh, step, trials int) (*cachetools.AgeGraph, error) {
 	var l lender
 	defer l.release()
-	tool, err := l.tool(cpu.Name)
+	tool, err := l.tool(cpu)
 	if err != nil {
-		return CampaignAgeRow{}, err
+		return nil, err
+	}
+	if workers <= 0 {
+		workers = runtime.NumCPU()
 	}
 	tool.Workers = workers
-	tool.NewSibling = func() (*cachetools.Tool, error) { return l.tool(cpu.Name) }
-	slice, set := bLeaderSlice(cpu), 780
-	g, err := tool.AgeGraphFor(cachetools.L3, slice, set, prefix, maxFresh, step, trials)
-	if err != nil {
-		return CampaignAgeRow{}, err
-	}
-	return CampaignAgeRow{CPU: cpu.Name, Slice: slice, Set: set, Graph: g}, nil
+	tool.NewSibling = func() (*cachetools.Tool, error) { return l.tool(cpu) }
+	prefix := cachetools.SeqOf(true, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+	return tool.AgeGraphFor(cachetools.L3, slice, set, prefix, maxFresh, step, trials)
 }
 
 // FormatCampaign renders a campaign result as the experiments' text
@@ -290,12 +319,8 @@ func FormatCampaign(w io.Writer, res *CampaignResult) {
 	fmt.Fprintln(w, "## Policy-inference campaign")
 	fmt.Fprintf(w, "%-12s %-5s %-6s %-5s %-4s %-22s %s\n", "CPU", "Level", "Slice", "Set", "OK", "Policy", "Seqs")
 	for _, c := range res.Cells {
-		mark := "✗"
-		if c.OK {
-			mark = "✓"
-		}
 		fmt.Fprintf(w, "%-12s %-5s %-6d %-5d %-4s %-22s %d\n",
-			c.CPU, c.Level, c.Slice, c.Set, mark, c.Policy, c.Sequences)
+			c.CPU, c.Level, c.Slice, c.Set, mark(c.OK), c.Policy, c.Sequences)
 	}
 	for _, a := range res.AgeRows {
 		fmt.Fprintf(w, "age graph %s slice %d set %d (trials %d):\n%s",

@@ -9,8 +9,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -42,7 +42,7 @@ var resultCache = sched.NewCache()
 // lent-equals-fresh test swaps in freshly built machines.
 var lend = sched.Lend
 
-// lender borrows the runners of one experiment, campaign cell or age row
+// lender borrows the runners of one experiment, row of cells or age graph
 // from sched's machine pool, each seeded with Seed and so in exactly the
 // state a fresh cpu.NewMachine(Seed) runner has, and returns them all at
 // once with release, after their last use. It is safe for concurrent
@@ -191,101 +191,56 @@ func Table1(w io.Writer, quick bool) ([]Table1Row, error) {
 	if quick {
 		cpus = []uarch.CPU{cpus[3], cpus[6]} // IvyBridge, Skylake
 	}
-	maxSeq := 120
-
-	// Each CPU's inference runs on its own machine and is deterministic in
-	// isolation, so the rows fan out across workers; lines are buffered
-	// per index and emitted in catalog order.
-	rows := make([]Table1Row, len(cpus))
-	lines := make([]string, len(cpus))
-	err := sched.ForEach(len(cpus), Workers, func(ci int) error {
-		cpu := cpus[ci]
-		var l lender
-		defer l.release()
-		tool, err := l.tool(cpu.Name)
-		if err != nil {
-			return err
-		}
-		row := Table1Row{CPU: cpu.Name}
-
-		infer := func(level cachetools.Level, slice, set int) (string, bool, error) {
-			res, err := tool.InferPolicy(level, slice, set, cachetools.InferOptions{
-				MaxSequences: maxSeq, Seed: Seed,
-			})
-			if err != nil {
-				return "", false, err
-			}
-			if len(res.Classes) == 0 {
-				return "probabilistic", false, nil
-			}
-			name, unique := res.Unique()
-			return name, unique, nil
-		}
-
-		row.L1, _, err = infer(cachetools.L1, 0, 37)
-		if err != nil {
-			return err
-		}
-		row.L1OK = policiesEquivalent(row.L1, cpu.L1Policy, tool.Assoc(cachetools.L1))
-
-		// L2 set 300 exists on every model (the older generations have
-		// only 512 L2 sets) and is clear of the code region's lines.
-		row.L2, _, err = infer(cachetools.L2, 0, 300)
-		if err != nil {
-			return err
-		}
-		row.L2OK = policiesEquivalent(row.L2, cpu.L2Policy, tool.Assoc(cachetools.L2))
-
-		// L3: for adaptive models, infer the deterministic leader set and
-		// probe the probabilistic one.
-		l3Set, l3Slice := 600, 0
-		expectedL3 := cpu.L3Policy
-		if cpu.L3Adaptive != nil {
-			l3Set, l3Slice = 520, leaderSlice(cpu)
-			expectedL3 = cpu.L3Adaptive.PolicyA
-		}
-		row.L3, _, err = infer(cachetools.L3, l3Slice, l3Set)
-		if err != nil {
-			return err
-		}
-		row.L3OK = policiesEquivalent(row.L3, expectedL3, tool.Assoc(cachetools.L3))
-		if cpu.L3Adaptive != nil {
+	// One row of cells per model, run in order on one tool: a model's
+	// inferences share the tool's memoized candidate signatures.
+	rows := make([][]cell, len(cpus))
+	for i, cpu := range cpus {
+		rows[i] = []cell{newCell(cpu, cachetools.L1), newCell(cpu, cachetools.L2), newCell(cpu, cachetools.L3)}
+		if a := cpu.L3Adaptive; a != nil {
 			// The stochastic leader must defeat every deterministic
 			// candidate.
-			bName, _, err := infer(cachetools.L3, bLeaderSlice(cpu), 780)
-			if err != nil {
-				return err
-			}
-			if bName == "probabilistic" {
+			rows[i] = append(rows[i], cell{cpu, cachetools.L3, rangeSlice(a.BRanges, 780), 780, "probabilistic"})
+		}
+	}
+	results, err := inferCells(context.Background(), rows, 120, Seed, Workers, nil)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(w, "## E3: Table I — replacement policies by level")
+	fmt.Fprintf(w, "%-12s %-6s %-22s %-22s %s\n", "CPU", "", "L1", "L2", "L3")
+	out := make([]Table1Row, len(cpus))
+	for i, cs := range results {
+		row := Table1Row{CPU: cpus[i].Name, L1: cs[0].Policy, L2: cs[1].Policy, L3: cs[2].Policy,
+			L1OK: cs[0].OK, L2OK: cs[1].OK, L3OK: cs[2].OK}
+		if len(cs) > 3 {
+			if cs[3].OK {
 				row.L3 += " + probabilistic leaders"
 			} else {
-				row.L3 += " + UNEXPECTED " + bName
+				row.L3 += " + UNEXPECTED " + cs[3].Policy
 				row.L3OK = false
 			}
 		}
-		mark := func(ok bool) string {
-			if ok {
-				return "✓"
-			}
-			return "✗"
-		}
-		lines[ci] = fmt.Sprintf("%-12s %-6s %-22s %-22s %s\n", cpu.Name,
+		fmt.Fprintf(w, "%-12s %-6s %-22s %-22s %s\n", row.CPU,
 			mark(row.L1OK)+mark(row.L2OK)+mark(row.L3OK), row.L1, row.L2, row.L3)
-		rows[ci] = row
-		return nil
-	})
-	fmt.Fprintln(w, "## E3: Table I — replacement policies by level")
-	fmt.Fprintf(w, "%-12s %-6s %-22s %-22s %s\n", "CPU", "", "L1", "L2", "L3")
-	for _, line := range lines {
-		fmt.Fprint(w, line)
+		out[i] = row
 	}
-	return rows, err
+	return out, nil
+}
+
+// mark renders an inference outcome as a check or a cross.
+func mark(ok bool) string {
+	if ok {
+		return "✓"
+	}
+	return "✗"
 }
 
 // policiesEquivalent reports whether two policy names behave identically
 // on a probe suite of random sequences. The inference reports one
 // representative per behavioural class, which may be a different (but
 // observationally equivalent) name than the injected ground truth.
+// "probabilistic", the outcome no deterministic candidate survives, is
+// equivalent only to itself: no policy has that name.
 func policiesEquivalent(a, b string, assoc int) bool {
 	if a == b {
 		return true
@@ -309,55 +264,16 @@ func policiesEquivalent(a, b string, assoc int) bool {
 	return true
 }
 
-func leaderSlice(cpu uarch.CPU) int {
-	for _, r := range cpu.L3Adaptive.ARanges {
-		if r.Lo <= 520 && 520 <= r.Hi {
-			if r.Slice == -1 {
-				return 0
-			}
-			return r.Slice
-		}
-	}
-	return 0
-}
-
-func bLeaderSlice(cpu uarch.CPU) int {
-	for _, r := range cpu.L3Adaptive.BRanges {
-		if r.Lo <= 780 && 780 <= r.Hi {
-			if r.Slice == -1 {
-				return 0
-			}
-			return r.Slice
-		}
-	}
-	return 0
-}
-
 // Figure1 regenerates the Ivy Bridge age graph (Section VI-D, Figure 1):
 // access sequence <WBINVD> B0..B11 in an L3 set with the probabilistic
 // QLRU_H11_MR161_R1_U2 policy, measuring how long each block survives as
 // fresh blocks stream in.
 func Figure1(w io.Writer, quick bool) (*cachetools.AgeGraph, error) {
-	var l lender
-	defer l.release()
-	tool, err := l.tool("IvyBridge")
-	if err != nil {
-		return nil, err
-	}
-	// The (block, fresh-count) groups are independent (each restreams the
-	// simulated hierarchy first), so they shard across sibling machines;
-	// the graph is byte-identical at any worker count.
-	tool.Workers = Workers
-	if tool.Workers == 0 {
-		tool.Workers = runtime.NumCPU()
-	}
-	tool.NewSibling = func() (*cachetools.Tool, error) { return l.tool("IvyBridge") }
 	maxFresh, step, trials := 200, 8, 32
 	if quick {
 		maxFresh, step, trials = 64, 16, 8
 	}
-	prefix := cachetools.SeqOf(true, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
-	g, err := tool.AgeGraphFor(cachetools.L3, 0, 768, prefix, maxFresh, step, trials)
+	g, err := ageGraph("IvyBridge", 0, 768, Workers, maxFresh, step, trials)
 	if err != nil {
 		return nil, err
 	}
@@ -371,39 +287,14 @@ func Figure1(w io.Writer, quick bool) (*cachetools.AgeGraph, error) {
 // time varies by hundreds of cycles between runs, LFENCE's does not, so
 // CPUID-serialized measurements of short code are unreliable.
 func Serialization(w io.Writer) (cpuidSpread, lfenceSpread float64, err error) {
-	spread := func(asm string) (float64, error) {
-		var l lender
-		defer l.release()
-		r, err := l.runner("Skylake", machine.Kernel)
-		if err != nil {
-			return 0, err
-		}
-		lo, hi := 0.0, 0.0
-		for i := 0; i < 20; i++ {
-			res, err := r.Run(nano.Config{
-				Code:          nano.MustAsm(asm),
-				UnrollCount:   10,
-				NMeasurements: 1,
-				WarmUpCount:   1,
-			})
-			if err != nil {
-				return 0, err
-			}
-			v, _ := res.Get("Core cycles")
-			if i == 0 || v < lo {
-				lo = v
-			}
-			if i == 0 || v > hi {
-				hi = v
-			}
-		}
-		return hi - lo, nil
+	cfg := func(asm string) nano.Config {
+		return nano.Config{Code: nano.MustAsm(asm), UnrollCount: 10, NMeasurements: 1, WarmUpCount: 1}
 	}
-	cpuidSpread, err = spread("mov rax, 0\ncpuid")
+	cpuidSpread, err = cycleSpread(machine.Kernel, cfg("mov rax, 0\ncpuid"))
 	if err != nil {
 		return
 	}
-	lfenceSpread, err = spread("lfence")
+	lfenceSpread, err = cycleSpread(machine.Kernel, cfg("lfence"))
 	if err != nil {
 		return
 	}
@@ -585,42 +476,19 @@ func NoMemAblation(w io.Writer) (memHits, noMemHits float64, err error) {
 // interrupts disabled (kernel mode) repeated measurements are exact; in
 // user mode timer interrupts perturb them.
 func KernelVsUserAccuracy(w io.Writer) (kernelSpread, userSpread float64, err error) {
-	measureSpread := func(mode machine.Mode) (float64, error) {
-		var l lender
-		defer l.release()
-		r, err := l.runner("Skylake", mode)
-		if err != nil {
-			return 0, err
-		}
-		cfg := nano.Config{
-			Code:          nano.MustAsm("mov r14, [r14]"),
-			CodeInit:      nano.MustAsm("mov [r14], r14"),
-			UnrollCount:   100,
-			LoopCount:     100,
-			NMeasurements: 1,
-			WarmUpCount:   1,
-		}
-		lo, hi := 0.0, 0.0
-		for i := 0; i < 20; i++ {
-			res, err := r.Run(cfg)
-			if err != nil {
-				return 0, err
-			}
-			v, _ := res.Get("Core cycles")
-			if i == 0 || v < lo {
-				lo = v
-			}
-			if i == 0 || v > hi {
-				hi = v
-			}
-		}
-		return hi - lo, nil
+	cfg := nano.Config{
+		Code:          nano.MustAsm("mov r14, [r14]"),
+		CodeInit:      nano.MustAsm("mov [r14], r14"),
+		UnrollCount:   100,
+		LoopCount:     100,
+		NMeasurements: 1,
+		WarmUpCount:   1,
 	}
-	kernelSpread, err = measureSpread(machine.Kernel)
+	kernelSpread, err = cycleSpread(machine.Kernel, cfg)
 	if err != nil {
 		return
 	}
-	userSpread, err = measureSpread(machine.User)
+	userSpread, err = cycleSpread(machine.User, cfg)
 	if err != nil {
 		return
 	}
@@ -629,6 +497,28 @@ func KernelVsUserAccuracy(w io.Writer) (kernelSpread, userSpread float64, err er
 	fmt.Fprintf(w, "kernel mode (interrupts off): %.3f cycles\n", kernelSpread)
 	fmt.Fprintf(w, "user mode (timer interrupts): %.3f cycles\n", userSpread)
 	return
+}
+
+// cycleSpread runs cfg 20 times on one lent Skylake runner in the given
+// mode and returns the maximum minus the minimum of its core cycles: the
+// run-to-run variation Sections III-D and IV-A1 compare.
+func cycleSpread(mode machine.Mode, cfg nano.Config) (float64, error) {
+	var l lender
+	defer l.release()
+	r, err := l.runner("Skylake", mode)
+	if err != nil {
+		return 0, err
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < 20; i++ {
+		res, err := r.Run(cfg)
+		if err != nil {
+			return 0, err
+		}
+		v, _ := res.Get("Core cycles")
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	return hi - lo, nil
 }
 
 // ContiguousAlloc reproduces the Section IV-D behaviour: the greedy

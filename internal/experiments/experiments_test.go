@@ -74,6 +74,41 @@ func TestTable1QuickDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestTable1Full asserts the full-size Table I (E3): every model's
+// inferred policy at every level matches the injected one, with the exact
+// names the inference reports.
+func TestTable1Full(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten-model Table I; run without -short")
+	}
+	rows, err := Table1(io.Discard, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const probabilistic = " + probabilistic leaders"
+	want := []Table1Row{
+		{CPU: "Nehalem", L1: "PLRU", L2: "PLRU", L3: "MRU"},
+		{CPU: "Westmere", L1: "PLRU", L2: "PLRU", L3: "MRU"},
+		{CPU: "SandyBridge", L1: "PLRU", L2: "PLRU", L3: "MRU*"},
+		{CPU: "IvyBridge", L1: "PLRU", L2: "PLRU", L3: "QLRU_H11_M1_R1_U2" + probabilistic},
+		{CPU: "Haswell", L1: "PLRU", L2: "PLRU", L3: "QLRU_H11_M1_R0_U0" + probabilistic},
+		{CPU: "Broadwell", L1: "PLRU", L2: "PLRU", L3: "QLRU_H11_M1_R0_U0" + probabilistic},
+		{CPU: "Skylake", L1: "PLRU", L2: "QLRU_H00_M1_R2_U1", L3: "QLRU_H11_M1_R0_U0"},
+		{CPU: "KabyLake", L1: "PLRU", L2: "QLRU_H00_M1_R2_U1", L3: "QLRU_H11_M1_R0_U0"},
+		{CPU: "CoffeeLake", L1: "PLRU", L2: "QLRU_H00_M1_R2_U1", L3: "QLRU_H11_M1_R0_U0"},
+		{CPU: "CannonLake", L1: "PLRU", L2: "QLRU_H00_M1_R0_U1", L3: "QLRU_H11_M1_R0_U0"},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("Table I has %d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		w.L1OK, w.L2OK, w.L3OK = true, true, true
+		if rows[i] != w {
+			t.Errorf("row %d = %+v, want %+v", i, rows[i], w)
+		}
+	}
+}
+
 // TestFigure1QuickDeterministicAcrossWorkers pins the age-graph sharding
 // contract: each (block, fresh-count) group restreams the simulated
 // hierarchy to a group-derived RNG stream, so the rendered graph is

@@ -171,7 +171,7 @@ func (r *Runner) RebootAndRemap() error {
 	if r.seq != nil {
 		// Recorded traces carry physical addresses; remapping onto fresh
 		// frames invalidates all of them.
-		r.seq.entries = make(map[[32]byte]*seqTraceEntry)
+		r.seq.entries = make(map[seqEntryKey]*seqTraceEntry)
 		r.seq.dropMemo()
 	}
 	r.M.Reboot()

@@ -132,8 +132,16 @@ type seqImagePair struct {
 	a, b []byte
 }
 
+// seqEntryKey identifies a trace entry: the image bytes and the level the
+// compiled trace counts hits at. The bytes alone do not name the level,
+// because the runner programs the hit event by MSR, outside the image.
+type seqEntryKey struct {
+	image [32]byte
+	level int
+}
+
 type seqReplayState struct {
-	entries   map[[32]byte]*seqTraceEntry
+	entries   map[seqEntryKey]*seqTraceEntry
 	templates map[seqTemplateKey]*seqTemplate
 	// images memoizes generated image pairs: campaign loops re-probe the
 	// same configurations across many passes, and regenerating a
@@ -149,23 +157,24 @@ type seqReplayState struct {
 	// Two-slot MRU memo over the entry lookup: the run loops alternate
 	// between at most two images (the A and B unroll variants), and a
 	// bytes.Equal probe is far cheaper than hashing the image.
-	memoCode [2][]byte
-	memoEnt  [2]*seqTraceEntry
+	memoCode  [2][]byte
+	memoLevel [2]int
+	memoEnt   [2]*seqTraceEntry
 }
 
-// lookup returns the trace entry for an image, creating it (and its
-// template) on first sight.
+// lookup returns the trace entry for an image counting hits at level,
+// creating it (and its template) on first sight.
 func (sr *seqReplayState) lookup(code []byte, level int) *seqTraceEntry {
 	for k, ent := range sr.memoEnt {
-		if ent != nil && bytes.Equal(sr.memoCode[k], code) {
+		if ent != nil && sr.memoLevel[k] == level && bytes.Equal(sr.memoCode[k], code) {
 			return ent
 		}
 	}
-	key := sha256.Sum256(code)
+	key := seqEntryKey{sha256.Sum256(code), level}
 	ent := sr.entries[key]
 	if ent == nil {
 		if len(sr.entries) >= seqTraceCacheCap {
-			sr.entries = make(map[[32]byte]*seqTraceEntry)
+			sr.entries = make(map[seqEntryKey]*seqTraceEntry)
 		}
 		tk := seqTemplateKey{codeLen: len(code), level: level}
 		tmpl := sr.templates[tk]
@@ -181,8 +190,8 @@ func (sr *seqReplayState) lookup(code []byte, level int) *seqTraceEntry {
 	}
 	// The image slice is freshly generated per RunSeqHits call and never
 	// mutated afterwards, so the memo can alias it instead of copying.
-	sr.memoCode[1], sr.memoEnt[1] = sr.memoCode[0], sr.memoEnt[0]
-	sr.memoCode[0], sr.memoEnt[0] = code, ent
+	sr.memoCode[1], sr.memoLevel[1], sr.memoEnt[1] = sr.memoCode[0], sr.memoLevel[0], sr.memoEnt[0]
+	sr.memoCode[0], sr.memoLevel[0], sr.memoEnt[0] = code, level, ent
 	return ent
 }
 
@@ -195,7 +204,7 @@ func (sr *seqReplayState) dropMemo() {
 func (r *Runner) seqState() *seqReplayState {
 	if r.seq == nil {
 		r.seq = &seqReplayState{
-			entries:   make(map[[32]byte]*seqTraceEntry),
+			entries:   make(map[seqEntryKey]*seqTraceEntry),
 			templates: make(map[seqTemplateKey]*seqTemplate),
 			images:    make(map[seqImageKey]seqImagePair),
 		}

@@ -56,12 +56,38 @@ type campaignRequest struct {
 	AgeTrials    int      `json:"age_trials,omitempty"`
 }
 
+// Campaign size limits. A campaign's worker count, age-graph trials and
+// fresh-block counts size allocations before anything is simulated, so
+// values past these limits are refused at submit time.
+const (
+	// MaxCampaignWorkers caps a campaign's machines in flight.
+	MaxCampaignWorkers = 64
+	// MaxAgeFresh caps age_max_fresh: a tool's 128 MiB area holds 255–513
+	// blocks per L3 set on every model, so no larger count can succeed.
+	MaxAgeFresh = 1024
+)
+
 // prepareCampaign validates a campaign submission (CPU names and levels
-// resolve) and sizes its progress denominator.
+// resolve, sizes within the campaign limits) and sizes its progress
+// denominator.
 func (s *Server) prepareCampaign(req campaignRequest) (experiments.CampaignOptions, int, *apiError) {
 	levels, err := experiments.ParseLevels(req.Levels)
 	if err != nil {
 		return experiments.CampaignOptions{}, 0, errBadRequest(err.Error())
+	}
+	for _, lim := range []struct {
+		name     string
+		val, max int
+	}{
+		{"workers", req.Workers, MaxCampaignWorkers},
+		// The trials become one invocation's measurement count.
+		{"age_trials", req.AgeTrials, MaxMeasurements},
+		{"age_max_fresh", req.AgeMaxFresh, MaxAgeFresh},
+	} {
+		if lim.val > lim.max {
+			return experiments.CampaignOptions{}, 0, errInvalid(fmt.Sprintf("campaign: %s %d exceeds the limit of %d",
+				lim.name, lim.val, lim.max))
+		}
 	}
 	opt := experiments.CampaignOptions{
 		CPUs:         req.CPUs,

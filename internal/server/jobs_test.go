@@ -342,6 +342,13 @@ func TestJobValidation(t *testing.T) {
 			`{"run": {"config": {"asm": "nop"}}, "sweep": {"sweep": {"asm": ["nop"]}}}`, 400, "bad_request"},
 		{"invalid inner request", "POST", "/v1/jobs", `{"run": {"config": {}}}`, 422, "invalid_argument"},
 		{"unknown inner cpu", "POST", "/v1/jobs", `{"run": {"cpu": "Pentium", "config": {"asm": "nop"}}}`, 422, "invalid_argument"},
+		// Each campaign size sits one past its limit.
+		{"campaign workers cap", "POST", "/v1/jobs",
+			`{"campaign": {"cpus": ["Skylake"], "levels": ["L1"], "workers": 65}}`, 422, "invalid_argument"},
+		{"campaign age trials cap", "POST", "/v1/jobs",
+			`{"campaign": {"cpus": ["Skylake"], "levels": ["L1"], "age_graphs": true, "age_trials": 100001}}`, 422, "invalid_argument"},
+		{"campaign age fresh cap", "POST", "/v1/jobs",
+			`{"campaign": {"cpus": ["Skylake"], "levels": ["L1"], "age_graphs": true, "age_max_fresh": 1025}}`, 422, "invalid_argument"},
 		{"jobs wrong method", "GET", "/v1/jobs", ``, 405, "method_not_allowed"},
 		{"unknown job", "GET", "/v1/jobs/j999999", ``, 404, "not_found"},
 		{"unknown job result", "GET", "/v1/jobs/j999999/result", ``, 404, "not_found"},

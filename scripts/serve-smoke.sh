@@ -2,7 +2,8 @@
 # Smoke-test a live nanobenchd against the documented wire examples:
 # build the binary, start it with the docs/API.md golden configuration,
 # curl /v1/healthz and a small /v1/run, submit a sweep through the async
-# jobs API (submit → long-poll → result), scrape /metrics, and diff each
+# jobs API (submit → long-poll → result), scrape /metrics, check that an
+# oversized campaign is refused while the daemon keeps serving, and diff each
 # deterministic response against the corresponding example in
 # docs/API.md. (Job records and the metrics body carry wall-clock
 # timestamps, so those are checked structurally, not byte-for-byte.)
@@ -76,6 +77,15 @@ for family in \
 	printf '%s' "$METRICS" | grep -q "$family" \
 		|| { echo "/metrics is missing $family" >&2; exit 1; }
 done
+
+echo "== POST /v1/jobs refuses an oversized campaign and the daemon keeps serving"
+OVERSIZED="$(curl -s -w '\n%{http_code}' -X POST --data-binary '{"campaign": {"workers": 1099511627776}}' "http://$ADDR/v1/jobs")"
+[ "$(printf '%s' "$OVERSIZED" | tail -n 1)" = 422 ] \
+	|| { echo "oversized campaign was not refused with 422: $OVERSIZED" >&2; exit 1; }
+printf '%s' "$OVERSIZED" | grep -q '"code": "invalid_argument"' \
+	|| { echo "oversized campaign refusal is not invalid_argument: $OVERSIZED" >&2; exit 1; }
+curl -sf "http://$ADDR/v1/healthz" >/dev/null \
+	|| { echo "/v1/healthz stopped answering after an oversized campaign" >&2; exit 1; }
 
 echo "== graceful shutdown"
 kill -TERM "$SRV"
