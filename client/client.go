@@ -14,6 +14,10 @@
 // typed envelope (code, message, HTTP status, Retry-After hint), so
 // callers can branch on client.IsCode(err, "queue_full") instead of
 // string-matching.
+//
+// The exported request and response types are the Go form of every /v1
+// body: the server decodes its requests into them and encodes its
+// replies from them, so the client and the server cannot drift.
 package client
 
 import (
@@ -95,10 +99,16 @@ type Item struct {
 	Err    *ItemError        `json:"error,omitempty"`
 }
 
-// ItemError is a per-item failure's payload.
+// ItemError is the error envelope's payload: a stable machine-readable
+// code plus a human-readable message. Per-item failures carry it too.
 type ItemError struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
+}
+
+// ErrorResponse is the error envelope every failed request returns.
+type ErrorResponse struct {
+	Error ItemError `json:"error"`
 }
 
 // BatchResponse is the body of a successful runbatch.
@@ -112,15 +122,15 @@ type SweepResponse struct {
 	Results []Item `json:"results"`
 }
 
-// sweepRequest mirrors the server's sweep request body.
-type sweepRequest struct {
+// SweepRequest is the body of a sweep. A nil Sweep is an empty one.
+type SweepRequest struct {
 	CPU   string           `json:"cpu,omitempty"`
 	Mode  string           `json:"mode,omitempty"`
 	Sweep *nanobench.Sweep `json:"sweep"`
 }
 
-// batchRequest mirrors the server's runbatch request body.
-type batchRequest struct {
+// BatchRequest is the body of a runbatch.
+type BatchRequest struct {
 	Jobs []RunRequest `json:"jobs"`
 }
 
@@ -138,7 +148,7 @@ func (c *Client) Run(ctx context.Context, cpu, mode string, cfg nanobench.Config
 // per-item errors.
 func (c *Client) RunBatch(ctx context.Context, jobs []RunRequest) (*BatchResponse, error) {
 	var out BatchResponse
-	if err := c.postJSON(ctx, "/v1/runbatch", batchRequest{Jobs: jobs}, &out); err != nil {
+	if err := c.postJSON(ctx, "/v1/runbatch", BatchRequest{Jobs: jobs}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -147,7 +157,7 @@ func (c *Client) RunBatch(ctx context.Context, jobs []RunRequest) (*BatchRespons
 // Sweep expands and evaluates a sweep synchronously (POST /v1/sweep).
 func (c *Client) Sweep(ctx context.Context, cpu, mode string, sw *nanobench.Sweep) (*SweepResponse, error) {
 	var out SweepResponse
-	if err := c.postJSON(ctx, "/v1/sweep", sweepRequest{CPU: cpu, Mode: mode, Sweep: sw}, &out); err != nil {
+	if err := c.postJSON(ctx, "/v1/sweep", SweepRequest{CPU: cpu, Mode: mode, Sweep: sw}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -160,7 +170,7 @@ func (c *Client) Sweep(ctx context.Context, cpu, mode string, sw *nanobench.Swee
 func (c *Client) StreamSweep(ctx context.Context, cpu, mode string, sw *nanobench.Sweep, fn func(Item) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // closing the body mid-stream cancels server-side
-	resp, err := c.do(ctx, http.MethodPost, "/v1/sweep?stream=1", sweepRequest{CPU: cpu, Mode: mode, Sweep: sw})
+	resp, err := c.do(ctx, http.MethodPost, "/v1/sweep?stream=1", SweepRequest{CPU: cpu, Mode: mode, Sweep: sw})
 	if err != nil {
 		return err
 	}
@@ -225,12 +235,7 @@ func decodeError(resp *http.Response) error {
 	if ra := resp.Header.Get("Retry-After"); ra != "" {
 		ae.RetryAfter, _ = strconv.Atoi(ra)
 	}
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var env ErrorResponse
 	if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
 		ae.Code, ae.Message = env.Error.Code, env.Error.Message
 		return ae

@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -10,10 +10,11 @@ import (
 	"time"
 
 	"nanobench"
+	"nanobench/client"
 	"nanobench/internal/server"
 )
 
-func newClient(t *testing.T, opts server.Options) *Client {
+func newClient(t *testing.T, opts server.Options) *client.Client {
 	t.Helper()
 	srv, err := server.New(opts)
 	if err != nil {
@@ -26,7 +27,7 @@ func newClient(t *testing.T, opts server.Options) *Client {
 		defer cancel()
 		srv.Shutdown(ctx)
 	})
-	return New(ts.URL)
+	return client.New(ts.URL)
 }
 
 func TestClientRunAndBatch(t *testing.T) {
@@ -45,7 +46,7 @@ func TestClientRunAndBatch(t *testing.T) {
 		t.Error("run result has no Core cycles metric")
 	}
 
-	batch, err := c.RunBatch(ctx, []RunRequest{
+	batch, err := c.RunBatch(ctx, []client.RunRequest{
 		{Config: cfg},
 		{CPU: "Haswell", Mode: "user", Config: cfg},
 	})
@@ -63,14 +64,14 @@ func TestClientErrorEnvelope(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown CPU accepted")
 	}
-	var ae *APIError
+	var ae *client.APIError
 	if !errors.As(err, &ae) {
 		t.Fatalf("error is %T, want *APIError: %v", err, err)
 	}
 	if ae.StatusCode != 422 || ae.Code != "invalid_argument" || ae.Message == "" {
 		t.Errorf("envelope = %+v", ae)
 	}
-	if !IsCode(err, "invalid_argument") || IsCode(err, "queue_full") {
+	if !client.IsCode(err, "invalid_argument") || client.IsCode(err, "queue_full") {
 		t.Error("IsCode misclassifies the envelope")
 	}
 }
@@ -90,8 +91,8 @@ func TestClientSweepSyncAsyncAndStream(t *testing.T) {
 		t.Fatalf("sync sweep = count %d, %d results", sync.Count, len(sync.Results))
 	}
 
-	var streamed []Item
-	if err := c.StreamSweep(ctx, "", "", sw, func(it Item) error {
+	var streamed []client.Item
+	if err := c.StreamSweep(ctx, "", "", sw, func(it client.Item) error {
 		streamed = append(streamed, it)
 		return nil
 	}); err != nil {
@@ -114,7 +115,7 @@ func TestClientSweepSyncAsyncAndStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fromJob SweepResponse
+	var fromJob client.SweepResponse
 	if err := json.Unmarshal(raw, &fromJob); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +151,8 @@ func TestClientSweepSyncAsyncAndStream(t *testing.T) {
 	if len(events) != 3 || events[0].State != "queued" || events[2].State != "done" {
 		t.Errorf("events = %+v", events)
 	}
-	var last JobStatus
-	if err := job.Stream(ctx, func(s JobStatus) error { last = s; return nil }); err != nil {
+	var last client.JobStatus
+	if err := job.Stream(ctx, func(s client.JobStatus) error { last = s; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !last.Terminal() {
@@ -204,7 +205,7 @@ func TestClientCancel(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// A canceled job's result is the typed 409 envelope.
-	if _, err := job.Result(ctx); !IsCode(err, "canceled") {
+	if _, err := job.Result(ctx); !client.IsCode(err, "canceled") {
 		t.Errorf("canceled result error = %v, want code canceled", err)
 	}
 }

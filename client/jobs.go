@@ -11,7 +11,9 @@ import (
 	"nanobench"
 )
 
-// JobStatus is a job record as served by the /v1/jobs endpoints.
+// JobStatus is a job record as served by the /v1/jobs endpoints: the
+// submit, status and cancel body, one entry of the events log, and the
+// NDJSON event stream's line format.
 type JobStatus struct {
 	ID          string      `json:"id"`
 	Kind        string      `json:"kind"`
@@ -47,32 +49,58 @@ type Job struct {
 	Submitted JobStatus
 }
 
-// jobSubmitRequest mirrors the server's POST /v1/jobs body: exactly one
-// of the synchronous request bodies, keyed by endpoint name.
-type jobSubmitRequest struct {
-	Run      *RunRequest   `json:"run,omitempty"`
-	RunBatch *batchRequest `json:"runbatch,omitempty"`
-	Sweep    *sweepRequest `json:"sweep,omitempty"`
+// JobEvents is the body of a non-streamed GET /v1/jobs/{id}/events.
+type JobEvents struct {
+	Events []JobStatus `json:"events"`
+}
+
+// JobRequest is the body of POST /v1/jobs: exactly one of the
+// synchronous request bodies, keyed by its endpoint name — or a
+// campaign, which has no synchronous endpoint (a full campaign simulates
+// for minutes; it only makes sense as a job).
+type JobRequest struct {
+	Run      *RunRequest      `json:"run,omitempty"`
+	RunBatch *BatchRequest    `json:"runbatch,omitempty"`
+	Sweep    *SweepRequest    `json:"sweep,omitempty"`
+	Campaign *CampaignRequest `json:"campaign,omitempty"`
+}
+
+// CampaignRequest selects a policy-inference campaign (Section VI):
+// Table I's replacement-policy inference over the requested CPU models
+// and cache levels, optionally with stochastic-leader age graphs. Empty
+// CPUs/Levels mean every Table I model and all three levels. The result
+// is deterministic for a given request — worker count included — so
+// repeated submissions return byte-identical bodies.
+type CampaignRequest struct {
+	CPUs         []string `json:"cpus,omitempty"`
+	Levels       []string `json:"levels,omitempty"`
+	MaxSequences int      `json:"max_sequences,omitempty"`
+	Seed         int64    `json:"seed,omitempty"`
+	Workers      int      `json:"workers,omitempty"`
+	AgeGraphs    bool     `json:"age_graphs,omitempty"`
+	AgeMaxFresh  int      `json:"age_max_fresh,omitempty"`
+	AgeStep      int      `json:"age_step,omitempty"`
+	AgeTrials    int      `json:"age_trials,omitempty"`
 }
 
 // SubmitRun submits a single evaluation as an asynchronous job.
 func (c *Client) SubmitRun(ctx context.Context, cpu, mode string, cfg nanobench.Config) (*Job, error) {
-	return c.submit(ctx, jobSubmitRequest{Run: &RunRequest{CPU: cpu, Mode: mode, Config: cfg}})
+	return c.submit(ctx, JobRequest{Run: &RunRequest{CPU: cpu, Mode: mode, Config: cfg}})
 }
 
 // SubmitBatch submits a heterogeneous batch as an asynchronous job.
 func (c *Client) SubmitBatch(ctx context.Context, jobs []RunRequest) (*Job, error) {
-	return c.submit(ctx, jobSubmitRequest{RunBatch: &batchRequest{Jobs: jobs}})
+	return c.submit(ctx, JobRequest{RunBatch: &BatchRequest{Jobs: jobs}})
 }
 
 // SubmitSweep submits a sweep as an asynchronous job; the server
 // shards its evaluation and merges the results back into expansion
 // order, byte-identical to the synchronous response.
 func (c *Client) SubmitSweep(ctx context.Context, cpu, mode string, sw *nanobench.Sweep) (*Job, error) {
-	return c.submit(ctx, jobSubmitRequest{Sweep: &sweepRequest{CPU: cpu, Mode: mode, Sweep: sw}})
+	return c.submit(ctx, JobRequest{Sweep: &SweepRequest{CPU: cpu, Mode: mode, Sweep: sw}})
 }
 
-func (c *Client) submit(ctx context.Context, req jobSubmitRequest) (*Job, error) {
+func (c *Client) submit(ctx context.Context, req JobRequest) (*Job, error) {
 	var snap JobStatus
 	if err := c.postJSON(ctx, "/v1/jobs", req, &snap); err != nil {
 		return nil, err
@@ -172,9 +200,7 @@ func (j *Job) Cancel(ctx context.Context) (JobStatus, error) {
 // Events fetches the job's transition log (one record per state
 // transition).
 func (j *Job) Events(ctx context.Context) ([]JobStatus, error) {
-	var out struct {
-		Events []JobStatus `json:"events"`
-	}
+	var out JobEvents
 	if err := j.c.getJSON(ctx, "/v1/jobs/"+j.ID+"/events", &out); err != nil {
 		return nil, err
 	}

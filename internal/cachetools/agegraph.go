@@ -27,26 +27,30 @@ type AgeGraph struct {
 // sequence, access fresh distinct blocks, then probe one prefix block and
 // report whether it still hits at the target level.
 func (t *Tool) AgeSample(level Level, slice, set int, prefix Seq, block, fresh int) (bool, error) {
+	res, err := t.RunSeq(level, slice, set, ageSeq(prefix, block, fresh))
+	if err != nil {
+		return false, err
+	}
+	return res.Hits > 0, nil
+}
+
+// ageSeq is one age experiment's sequence: the prefix unmeasured, then
+// fresh distinct blocks numbered past the prefix's highest block, then
+// the measured probe of block.
+func ageSeq(prefix Seq, block, fresh int) Seq {
 	maxIdx := 0
 	for _, a := range prefix.Accesses {
-		if a.Block > maxIdx {
-			maxIdx = a.Block
-		}
+		maxIdx = max(maxIdx, a.Block)
 	}
-	seq := Seq{WbInvd: prefix.WbInvd}
-	seq.Accesses = append(seq.Accesses, prefix.Accesses...)
-	for i := range seq.Accesses {
-		seq.Accesses[i].Measured = false
+	seq := Seq{WbInvd: prefix.WbInvd, Accesses: make([]Access, 0, len(prefix.Accesses)+fresh+1)}
+	for _, a := range prefix.Accesses {
+		seq.Accesses = append(seq.Accesses, Access{Block: a.Block})
 	}
 	for f := 0; f < fresh; f++ {
 		seq.Accesses = append(seq.Accesses, Access{Block: maxIdx + 1 + f})
 	}
 	seq.Accesses = append(seq.Accesses, Access{Block: block, Measured: true})
-	res, err := t.RunSeq(level, slice, set, seq)
-	if err != nil {
-		return false, err
-	}
-	return res.Hits > 0, nil
+	return seq
 }
 
 // AgeGraphFor measures an age graph for every distinct block of the prefix
@@ -69,14 +73,10 @@ func (t *Tool) AgeGraphFor(level Level, slice, set int, prefix Seq, maxFresh, st
 	}
 	seen := map[int]bool{}
 	var blocks []int
-	maxIdx := 0
 	for _, a := range prefix.Accesses {
 		if !seen[a.Block] {
 			seen[a.Block] = true
 			blocks = append(blocks, a.Block)
-		}
-		if a.Block > maxIdx {
-			maxIdx = a.Block
 		}
 	}
 	g := &AgeGraph{BlockIDs: blocks, Trials: trials}
@@ -97,15 +97,7 @@ func (t *Tool) AgeGraphFor(level Level, slice, set int, prefix Seq, maxFresh, st
 	}
 	runGroup := func(tt *Tool, gi int) error {
 		gr := groups[gi]
-		seq := Seq{WbInvd: prefix.WbInvd}
-		seq.Accesses = append(seq.Accesses, prefix.Accesses...)
-		for i := range seq.Accesses {
-			seq.Accesses[i].Measured = false
-		}
-		for f := 0; f < g.FreshCounts[gr.ki]; f++ {
-			seq.Accesses = append(seq.Accesses, Access{Block: maxIdx + 1 + f})
-		}
-		seq.Accesses = append(seq.Accesses, Access{Block: blocks[gr.bi], Measured: true})
+		seq := ageSeq(prefix, blocks[gr.bi], g.FreshCounts[gr.ki])
 		tt.R.M.Hier.Restream(int64(gi) + 1)
 		res, err := tt.RunSeqTrials(context.Background(), level, slice, set, seq, trials)
 		if err != nil {

@@ -14,11 +14,6 @@ import (
 type InferOptions struct {
 	// MaxSequences bounds the number of measured random sequences.
 	MaxSequences int
-	// PoolBlocks is the number of distinct blocks random sequences draw
-	// from (0: associativity + 4).
-	PoolBlocks int
-	// SeqLen is the length of each random sequence (0: 2×assoc + 8).
-	SeqLen int
 	// Seed drives sequence generation.
 	Seed int64
 	// Candidates overrides the candidate policy names (nil: all
@@ -93,12 +88,6 @@ func (t *Tool) InferPolicyContext(ctx context.Context, level Level, slice, set i
 	if opt.MaxSequences == 0 {
 		opt.MaxSequences = 200
 	}
-	if opt.PoolBlocks == 0 {
-		opt.PoolBlocks = assoc + 4
-	}
-	if opt.SeqLen == 0 {
-		opt.SeqLen = 2*assoc + 8
-	}
 	cands := opt.Candidates
 	if cands == nil {
 		cands = DefaultCandidates(assoc)
@@ -128,7 +117,7 @@ func (t *Tool) InferPolicyContext(ctx context.Context, level Level, slice, set i
 				break
 			}
 		} else {
-			seq = t.genSequence(rng, assoc, opt.PoolBlocks, opt.SeqLen, used)
+			seq = t.genSequence(rng, assoc, used)
 		}
 		res, err := t.RunSeqContext(ctx, level, slice, set, seq.AllMeasured())
 		if err != nil {
@@ -250,15 +239,16 @@ func (t *Tool) discriminatingSequence(alive []candidate, assoc int) (Seq, bool) 
 
 // genSequence produces the i-th test sequence: a few structured patterns
 // first (fills, refills, single promotions — these split the big policy
-// families quickly), then random sequences.
-func (t *Tool) genSequence(rng *rand.Rand, assoc, pool, length, i int) Seq {
+// families quickly), then random sequences of 2×assoc + 8 accesses drawn
+// from assoc + 4 distinct blocks.
+func (t *Tool) genSequence(rng *rand.Rand, assoc, i int) Seq {
 	structured := t.structuredSequences(assoc)
 	if i < len(structured) {
 		return structured[i]
 	}
 	s := Seq{WbInvd: true}
-	for j := 0; j < length; j++ {
-		s.Accesses = append(s.Accesses, Access{Block: rng.Intn(pool)})
+	for j := 0; j < 2*assoc+8; j++ {
+		s.Accesses = append(s.Accesses, Access{Block: rng.Intn(assoc + 4)})
 	}
 	return s
 }

@@ -72,13 +72,7 @@ func (t *Tool) VerifyPermutations(level Level, slice, set int, perms policy.Perm
 	check.Positions++
 
 	// One hit at every position of the just-filled state.
-	model := policy.NewPermutation("model", perms)
-	policy.SimulateSeq(model, fill)
 	for pos := 0; pos < assoc; pos++ {
-		// Determine which block sits at order position pos in the model
-		// by testing each block's hit there... the permutation spec is
-		// position-based, so replay the fill on a fresh model instance
-		// and hit block b; blocks are identified directly.
 		prefix := append(append([]int{}, fill...), pos)
 		if err := verifyState(fmt.Sprintf("hit B%d after fill", pos), prefix); err != nil {
 			return nil, err

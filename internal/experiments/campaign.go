@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 
 	"nanobench/internal/cachetools"
@@ -311,19 +310,4 @@ func ageGraph(cpu string, slice, set, workers, maxFresh, step, trials int) (*cac
 	tool.NewSibling = func() (*cachetools.Tool, error) { return l.tool(cpu) }
 	prefix := cachetools.SeqOf(true, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 	return tool.AgeGraphFor(cachetools.L3, slice, set, prefix, maxFresh, step, trials)
-}
-
-// FormatCampaign renders a campaign result as the experiments' text
-// report format.
-func FormatCampaign(w io.Writer, res *CampaignResult) {
-	fmt.Fprintln(w, "## Policy-inference campaign")
-	fmt.Fprintf(w, "%-12s %-5s %-6s %-5s %-4s %-22s %s\n", "CPU", "Level", "Slice", "Set", "OK", "Policy", "Seqs")
-	for _, c := range res.Cells {
-		fmt.Fprintf(w, "%-12s %-5s %-6d %-5d %-4s %-22s %d\n",
-			c.CPU, c.Level, c.Slice, c.Set, mark(c.OK), c.Policy, c.Sequences)
-	}
-	for _, a := range res.AgeRows {
-		fmt.Fprintf(w, "age graph %s slice %d set %d (trials %d):\n%s",
-			a.CPU, a.Slice, a.Set, a.Graph.Trials, a.Graph.Format())
-	}
 }

@@ -2,7 +2,6 @@ package nano
 
 import (
 	"bytes"
-	"fmt"
 
 	"nanobench/internal/sim/machine"
 	"nanobench/internal/x86"
@@ -265,18 +264,4 @@ func (r *Runner) wrmsrSeq(v uint64, noMem bool) ([]byte, error) {
 		)
 	}
 	return x86.EncodeAll(ins)
-}
-
-// DisassembleGenerated renders the most recently generated benchmark
-// function (for debugging and the kmod trace file).
-func DisassembleGenerated(code []byte) string {
-	lst, err := x86.Disassemble(code)
-	if err != nil {
-		return fmt.Sprintf("<disassembly error: %v>", err)
-	}
-	out := ""
-	for _, l := range lst {
-		out += l + "\n"
-	}
-	return out
 }

@@ -5,15 +5,80 @@ import (
 	"fmt"
 
 	"nanobench"
+	"nanobench/client"
 	"nanobench/internal/sched"
 )
 
-// This file is the shared evaluation core behind the synchronous
-// endpoints (/v1/run, /v1/runbatch, /v1/sweep) and the asynchronous job
-// kinds layered on them: request validation and session grouping
-// (prepareRun/prepareBatch/prepareSweep), and the ordered multi-session
-// merge (mergeGroups). Keeping one code path means a job's rendered
-// result is byte-identical to the synchronous response by construction.
+// This file is the one evaluation core behind both front ends: a
+// synchronous endpoint (/v1/run, /v1/runbatch, /v1/sweep) runs its
+// request's evaluation inline, and /v1/jobs runs the same evaluation as
+// the job's task on the manager's pool. prepare validates a request and
+// returns its evaluation; the ordered multi-session merge (mergeGroups)
+// feeds the evaluation's item loop and the streamed sweep. One
+// evaluation per request kind means a job's rendered result is
+// byte-identical to the synchronous response by construction.
+
+// evaluation is one validated request, ready to run.
+type evaluation struct {
+	kind string // the job kind: "run", "runbatch", "sweep" or "campaign"
+	n    int    // the items it evaluates: a job's progress total
+	// run evaluates the request, calling step once per finished item,
+	// and returns the response body. A cancelled context fails it.
+	run func(ctx context.Context, step func(cacheHit, failed bool)) (any, error)
+}
+
+// prepare validates req — exactly one request body — with the gates of
+// its kind, so a bad job is rejected at submit time with the same
+// envelope its synchronous endpoint answers, never accepted and failed
+// later. A sweep keeps shards machines in flight per session.
+func (s *Server) prepare(req client.JobRequest, shards int) (evaluation, *apiError) {
+	set := 0
+	for _, p := range []bool{req.Run != nil, req.RunBatch != nil, req.Sweep != nil, req.Campaign != nil} {
+		if p {
+			set++
+		}
+	}
+	switch {
+	case set != 1:
+		return evaluation{}, errBadRequest(`give exactly one of "run", "runbatch", "sweep", "campaign"`)
+	case req.Run != nil:
+		return s.prepareRun(*req.Run)
+	case req.RunBatch != nil:
+		groups, n, e := s.prepareBatch(*req.RunBatch)
+		if e != nil {
+			return evaluation{}, e
+		}
+		return itemsEval("runbatch", groups, n, 1, func(items []client.Item) any {
+			return client.BatchResponse{Results: items}
+		}), nil
+	case req.Sweep != nil:
+		groups, n, e := s.prepareSweep(*req.Sweep)
+		if e != nil {
+			return evaluation{}, e
+		}
+		return itemsEval("sweep", groups, n, shards, func(items []client.Item) any {
+			return client.SweepResponse{Count: n, Results: items}
+		}), nil
+	}
+	return s.prepareCampaign(*req.Campaign)
+}
+
+// itemsEval is a batch's or sweep's evaluation: every group's items
+// merged into request order, then wrapped by body. Items carry their own
+// errors; only a cancelled context fails the whole evaluation.
+func itemsEval(kind string, groups []*evalGroup, n, shards int, body func([]client.Item) any) evaluation {
+	return evaluation{kind: kind, n: n, run: func(ctx context.Context, step func(cacheHit, failed bool)) (any, error) {
+		items := make([]client.Item, 0, n)
+		for it := range mergeGroups(ctx, groups, n, shards) {
+			step(it.CacheHit, it.Err != nil)
+			items = append(items, toItem(it))
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return body(items), nil
+	}}
+}
 
 // evalGroup is one session's share of a heterogeneous request: the
 // configs routed to that session plus their global response indices, in
@@ -26,19 +91,30 @@ type evalGroup struct {
 
 // prepareRun validates a single-evaluation request and resolves its
 // session.
-func (s *Server) prepareRun(req runRequest) (*nanobench.Session, *apiError) {
+func (s *Server) prepareRun(req client.RunRequest) (evaluation, *apiError) {
 	if len(req.Config.Code) == 0 && len(req.Config.CodeInit) == 0 {
-		return nil, errInvalid("config: no benchmark code (give code/asm or code_init/asm_init)")
+		return evaluation{}, errInvalid("config: no benchmark code (give code/asm or code_init/asm_init)")
 	}
 	if e := validateCost(req.Config); e != nil {
-		return nil, e
+		return evaluation{}, e
 	}
-	return s.session(req.CPU, req.Mode)
+	sess, e := s.session(req.CPU, req.Mode)
+	if e != nil {
+		return evaluation{}, e
+	}
+	return evaluation{kind: "run", n: 1, run: func(ctx context.Context, step func(cacheHit, failed bool)) (any, error) {
+		res, err := sess.Run(ctx, req.Config)
+		step(false, err != nil)
+		if err != nil {
+			return nil, runError(err)
+		}
+		return client.RunResponse{CPU: sess.CPUName(), Mode: sess.Mode().String(), Result: res}, nil
+	}}, nil
 }
 
 // prepareBatch validates a batch request and groups its jobs by
 // session. Returns the groups and the total job count.
-func (s *Server) prepareBatch(req batchRequest) ([]*evalGroup, int, *apiError) {
+func (s *Server) prepareBatch(req client.BatchRequest) ([]*evalGroup, int, *apiError) {
 	if len(req.Jobs) == 0 {
 		return nil, 0, errInvalid("empty batch: no jobs")
 	}
@@ -55,17 +131,21 @@ func (s *Server) prepareBatch(req batchRequest) ([]*evalGroup, int, *apiError) {
 // config) jobs — heterogeneous sweeps fan out across sessions, plain
 // ones collapse to the default session — and groups them. Returns the
 // groups and the expansion size.
-func (s *Server) prepareSweep(req sweepRequest) ([]*evalGroup, int, *apiError) {
+func (s *Server) prepareSweep(req client.SweepRequest) ([]*evalGroup, int, *apiError) {
 	// Resolve the request-level defaults first: a bad cpu/mode name fails
 	// here whether or not the sweep overrides those dimensions.
 	sess, e := s.session(req.CPU, req.Mode)
 	if e != nil {
 		return nil, 0, e
 	}
-	if err := req.Sweep.Err(); err != nil {
+	sw := req.Sweep
+	if sw == nil { // a missing or null "sweep" is an empty one
+		sw = new(nanobench.Sweep)
+	}
+	if err := sw.Err(); err != nil {
 		return nil, 0, errInvalid(err.Error())
 	}
-	n := req.Sweep.Len()
+	n := sw.Len()
 	if n == 0 {
 		return nil, 0, errInvalid("sweep expands to no configs (no benchmark code)")
 	}
@@ -77,7 +157,7 @@ func (s *Server) prepareSweep(req sweepRequest) ([]*evalGroup, int, *apiError) {
 	// request's own cpu/mode fields are the defaults for dimensions the
 	// sweep leaves unset; an empty CPU stays empty for the session
 	// registry to resolve.
-	jobs, err := req.Sweep.Jobs(req.CPU, sess.Mode())
+	jobs, err := sw.Jobs(req.CPU, sess.Mode())
 	if err != nil {
 		return nil, 0, errInvalid(err.Error())
 	}
@@ -124,7 +204,7 @@ func (s *Server) groupJobs(n int, label string, entry func(i int) (cpu, mode str
 // all its predecessors are ready. shards > 1 streams every group through
 // StreamSharded with that many machines in flight — the fan-out
 // asynchronous sweep jobs use; either way the delivered bytes are
-// identical, which the sweep-job equivalence test pins.
+// identical, which the job equivalence test pins.
 //
 // On cancellation the sessions deliver the remaining items carrying the
 // context error, so every index is still delivered and the channel

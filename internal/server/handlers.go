@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"nanobench"
+	"nanobench/client"
 )
 
 // handler wraps an endpoint with the shared request plumbing: the
@@ -32,26 +33,28 @@ func (s *Server) handler(method string, counter *atomic.Uint64, evaluates bool, 
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
+	var req client.RunRequest
 	if e := decodeJSON(r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
-	sess, e := s.prepareRun(req)
+	s.serveSync(w, r, client.JobRequest{Run: &req})
+}
+
+// serveSync runs a synchronous request's evaluation — the one its job would
+// run — inline under the request context, and writes the response body.
+func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, req client.JobRequest) {
+	ev, e := s.prepare(req, 1)
 	if e != nil {
 		writeError(w, e)
 		return
 	}
-	res, err := sess.Run(r.Context(), req.Config)
+	body, err := ev.run(r.Context(), func(bool, bool) {})
 	if err != nil {
 		writeError(w, runError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse{
-		CPU:    sess.CPUName(),
-		Mode:   sess.Mode().String(),
-		Result: res,
-	})
+	writeJSON(w, http.StatusOK, body)
 }
 
 // MaxMeasurements caps warm-up plus timed runs per config. The runner
@@ -76,10 +79,15 @@ func validateCost(cfg nanobench.Config) *apiError {
 	return nil
 }
 
-// runError maps a single evaluation's failure to the envelope: client
-// cancellations get the non-standard 499 (best effort — the client is
-// usually gone), everything else is an unprocessable evaluation.
+// runError maps an evaluation's failure to the envelope: an *apiError
+// passes through, client cancellations get the non-standard 499 (best
+// effort — the client is usually gone), everything else is an
+// unprocessable evaluation.
 func runError(err error) *apiError {
+	var ae *apiError
+	if errors.As(err, &ae) {
+		return ae
+	}
 	body := itemError(err)
 	status := http.StatusUnprocessableEntity
 	if errors.Is(err, context.Canceled) {
@@ -89,29 +97,19 @@ func runError(err error) *apiError {
 }
 
 func (s *Server) handleRunBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
+	var req client.BatchRequest
 	if e := decodeJSON(r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
-	groups, n, e := s.prepareBatch(req)
-	if e != nil {
-		writeError(w, e)
-		return
-	}
-	resp := batchResponse{Results: make([]itemJSON, 0, n)}
-	for it := range mergeGroups(r.Context(), groups, n, 1) {
-		resp.Results = append(resp.Results, toItem(it.Index, it))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.serveSync(w, r, client.JobRequest{RunBatch: &req})
 }
 
-// toItem converts a delivered batch item to its wire form under its
-// response index.
-func toItem(index int, it nanobench.BatchItem) itemJSON {
-	out := itemJSON{Index: index}
+// toItem converts a delivered batch item to its wire form.
+func toItem(it nanobench.BatchItem) client.Item {
+	out := client.Item{Index: it.Index}
 	if it.Err != nil {
-		out.Error = itemError(it.Err)
+		out.Err = itemError(it.Err)
 	} else {
 		out.Result = it.Result
 	}
@@ -119,9 +117,13 @@ func toItem(index int, it nanobench.BatchItem) itemJSON {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
+	var req client.SweepRequest
 	if e := decodeJSON(r, &req); e != nil {
 		writeError(w, e)
+		return
+	}
+	if q := r.URL.Query().Get("stream"); q != "1" && q != "true" {
+		s.serveSync(w, r, client.JobRequest{Sweep: &req})
 		return
 	}
 	groups, n, e := s.prepareSweep(req)
@@ -129,18 +131,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	items := mergeGroups(r.Context(), groups, n, 1)
-
-	if q := r.URL.Query().Get("stream"); q == "1" || q == "true" {
-		s.streamItems(w, items)
-		return
-	}
-
-	resp := sweepResponse{Count: n, Results: make([]itemJSON, 0, n)}
-	for it := range items {
-		resp.Results = append(resp.Results, toItem(it.Index, it))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.streamItems(w, mergeGroups(r.Context(), groups, n, 1))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

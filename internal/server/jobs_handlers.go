@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 
+	"nanobench/client"
 	"nanobench/internal/experiments"
 	"nanobench/internal/jobs"
 )
@@ -22,39 +23,11 @@ import (
 //	GET    /v1/jobs/{id}/events    transition log; ?stream=1 NDJSON live
 //	DELETE /v1/jobs/{id}           cancel (park queued, interrupt running)
 //
-// A done job's result bytes are exactly what the synchronous endpoint
+// A job runs the evaluation its synchronous endpoint runs inline (see
+// prepare), so a done job's result bytes are exactly what that endpoint
 // would have written — sweep jobs additionally evaluate with SweepShards
 // machines in flight per session (Session.StreamSharded), which is
 // byte-identical by construction.
-
-// jobSubmitRequest is the body of POST /v1/jobs: exactly one of the
-// synchronous request bodies, keyed by its endpoint name — or a
-// campaign, which has no synchronous endpoint (a full campaign simulates
-// for minutes; it only makes sense as a job).
-type jobSubmitRequest struct {
-	Run      *runRequest      `json:"run,omitempty"`
-	RunBatch *batchRequest    `json:"runbatch,omitempty"`
-	Sweep    *sweepRequest    `json:"sweep,omitempty"`
-	Campaign *campaignRequest `json:"campaign,omitempty"`
-}
-
-// campaignRequest selects a policy-inference campaign (experiments
-// package, Section VI): Table I's replacement-policy inference over the
-// requested CPU models and cache levels, optionally with stochastic-
-// leader age graphs. Empty cpus/levels mean every Table I model and all
-// three levels. The result is deterministic for a given request — worker
-// count included — so repeated submissions return byte-identical bodies.
-type campaignRequest struct {
-	CPUs         []string `json:"cpus,omitempty"`
-	Levels       []string `json:"levels,omitempty"`
-	MaxSequences int      `json:"max_sequences,omitempty"`
-	Seed         int64    `json:"seed,omitempty"`
-	Workers      int      `json:"workers,omitempty"`
-	AgeGraphs    bool     `json:"age_graphs,omitempty"`
-	AgeMaxFresh  int      `json:"age_max_fresh,omitempty"`
-	AgeStep      int      `json:"age_step,omitempty"`
-	AgeTrials    int      `json:"age_trials,omitempty"`
-}
 
 // Campaign size limits. A campaign's worker count, age-graph trials and
 // fresh-block counts size allocations before anything is simulated, so
@@ -69,11 +42,11 @@ const (
 
 // prepareCampaign validates a campaign submission (CPU names and levels
 // resolve, sizes within the campaign limits) and sizes its progress
-// denominator.
-func (s *Server) prepareCampaign(req campaignRequest) (experiments.CampaignOptions, int, *apiError) {
+// denominator: one step per cell plus one per age graph.
+func (s *Server) prepareCampaign(req client.CampaignRequest) (evaluation, *apiError) {
 	levels, err := experiments.ParseLevels(req.Levels)
 	if err != nil {
-		return experiments.CampaignOptions{}, 0, errBadRequest(err.Error())
+		return evaluation{}, errBadRequest(err.Error())
 	}
 	for _, lim := range []struct {
 		name     string
@@ -85,7 +58,7 @@ func (s *Server) prepareCampaign(req campaignRequest) (experiments.CampaignOptio
 		{"age_max_fresh", req.AgeMaxFresh, MaxAgeFresh},
 	} {
 		if lim.val > lim.max {
-			return experiments.CampaignOptions{}, 0, errInvalid(fmt.Sprintf("campaign: %s %d exceeds the limit of %d",
+			return evaluation{}, errInvalid(fmt.Sprintf("campaign: %s %d exceeds the limit of %d",
 				lim.name, lim.val, lim.max))
 		}
 	}
@@ -102,68 +75,59 @@ func (s *Server) prepareCampaign(req campaignRequest) (experiments.CampaignOptio
 	}
 	total, err := experiments.CampaignSize(opt)
 	if err != nil {
-		return experiments.CampaignOptions{}, 0, errBadRequest(err.Error())
+		return evaluation{}, errBadRequest(err.Error())
 	}
-	return opt, total, nil
+	return evaluation{kind: "campaign", n: total, run: func(ctx context.Context, step func(cacheHit, failed bool)) (any, error) {
+		return experiments.PolicyCampaign(ctx, opt, func() { step(false, false) })
+	}}, nil
 }
 
-// jobJSON is a job record's wire form: the submit/status/cancel
-// response body, one entry of the events log, and the NDJSON event
+// toJob converts a job snapshot to its wire form: the submit, status
+// and cancel body, one entry of the events log, and the NDJSON event
 // stream's line format.
-type jobJSON struct {
-	ID          string      `json:"id"`
-	Kind        string      `json:"kind"`
-	State       string      `json:"state"`
-	SubmittedNs int64       `json:"submitted_ns"`
-	StartedNs   int64       `json:"started_ns,omitempty"`
-	FinishedNs  int64       `json:"finished_ns,omitempty"`
-	Progress    jobs.Counts `json:"progress"`
-	Error       *errorBody  `json:"error,omitempty"`
-}
-
-// jobEventsResponse is the body of a non-streamed GET /v1/jobs/{id}/events.
-type jobEventsResponse struct {
-	Events []jobJSON `json:"events"`
-}
-
-// toJob converts a job snapshot to its wire form.
-func toJob(snap jobs.Snapshot) jobJSON {
-	out := jobJSON{
+func toJob(snap jobs.Snapshot) client.JobStatus {
+	out := client.JobStatus{
 		ID:          snap.ID,
 		Kind:        snap.Kind,
 		State:       string(snap.State),
 		SubmittedNs: snap.SubmittedNs,
 		StartedNs:   snap.StartedNs,
 		FinishedNs:  snap.FinishedNs,
-		Progress:    snap.Progress,
+		Progress:    client.JobProgress(snap.Progress),
 	}
 	if snap.Err != nil {
 		var ae *apiError
 		switch {
 		case errors.As(snap.Err, &ae):
 			body := ae.body
-			out.Error = &body
+			out.Err = &body
 		case snap.State == jobs.Canceled:
-			out.Error = &errorBody{"canceled", snap.Err.Error()}
+			out.Err = &client.ItemError{Code: "canceled", Message: snap.Err.Error()}
 		default:
-			out.Error = &errorBody{"evaluation_failed", snap.Err.Error()}
+			out.Err = &client.ItemError{Code: "evaluation_failed", Message: snap.Err.Error()}
 		}
 	}
 	return out
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobSubmitRequest
+	var req client.JobRequest
 	if e := decodeJSON(r, &req); e != nil {
 		writeError(w, e)
 		return
 	}
-	kind, total, task, e := s.buildJobTask(req)
+	ev, e := s.prepare(req, s.opts.SweepShards)
 	if e != nil {
 		writeError(w, e)
 		return
 	}
-	snap, err := s.jobMgr.Submit(kind, total, task)
+	snap, err := s.jobMgr.Submit(ev.kind, ev.n, func(ctx context.Context, p *jobs.Progress) ([]byte, error) {
+		body, err := ev.run(ctx, p.Step)
+		if err != nil {
+			return nil, err
+		}
+		return renderJSON(body)
+	})
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
 		writeError(w, errQueueFull("job queue full; retry later", s.jobMgr.RetryAfter()))
@@ -176,88 +140,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, toJob(snap))
-}
-
-// buildJobTask validates the submission against the same gates its
-// synchronous endpoint applies — a bad request is rejected at submit
-// time with the same envelope, never accepted and failed later — and
-// closes over the prepared groups as the job's task.
-func (s *Server) buildJobTask(req jobSubmitRequest) (kind string, total int, task jobs.Task, e *apiError) {
-	set := 0
-	for _, p := range []bool{req.Run != nil, req.RunBatch != nil, req.Sweep != nil, req.Campaign != nil} {
-		if p {
-			set++
-		}
-	}
-	if set != 1 {
-		return "", 0, nil, errBadRequest(`give exactly one of "run", "runbatch", "sweep", "campaign"`)
-	}
-	switch {
-	case req.Run != nil:
-		sess, e := s.prepareRun(*req.Run)
-		if e != nil {
-			return "", 0, nil, e
-		}
-		cfg := req.Run.Config
-		return "run", 1, func(ctx context.Context, p *jobs.Progress) ([]byte, error) {
-			res, err := sess.Run(ctx, cfg)
-			if err != nil {
-				p.Step(false, true)
-				return nil, runError(err)
-			}
-			p.Step(false, false)
-			return renderJSON(runResponse{
-				CPU:    sess.CPUName(),
-				Mode:   sess.Mode().String(),
-				Result: res,
-			})
-		}, nil
-	case req.RunBatch != nil:
-		groups, n, e := s.prepareBatch(*req.RunBatch)
-		if e != nil {
-			return "", 0, nil, e
-		}
-		return "runbatch", n, func(ctx context.Context, p *jobs.Progress) ([]byte, error) {
-			resp := batchResponse{Results: make([]itemJSON, 0, n)}
-			for it := range mergeGroups(ctx, groups, n, 1) {
-				p.Step(it.CacheHit, it.Err != nil)
-				resp.Results = append(resp.Results, toItem(it.Index, it))
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return renderJSON(resp)
-		}, nil
-	case req.Campaign != nil:
-		opt, total, e := s.prepareCampaign(*req.Campaign)
-		if e != nil {
-			return "", 0, nil, e
-		}
-		return "campaign", total, func(ctx context.Context, p *jobs.Progress) ([]byte, error) {
-			res, err := experiments.PolicyCampaign(ctx, opt, func() { p.Step(false, false) })
-			if err != nil {
-				return nil, err
-			}
-			return renderJSON(res)
-		}, nil
-	default:
-		groups, n, e := s.prepareSweep(*req.Sweep)
-		if e != nil {
-			return "", 0, nil, e
-		}
-		shards := s.opts.SweepShards
-		return "sweep", n, func(ctx context.Context, p *jobs.Progress) ([]byte, error) {
-			resp := sweepResponse{Count: n, Results: make([]itemJSON, 0, n)}
-			for it := range mergeGroups(ctx, groups, n, shards) {
-				p.Step(it.CacheHit, it.Err != nil)
-				resp.Results = append(resp.Results, toItem(it.Index, it))
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			return renderJSON(resp)
-		}, nil
-	}
 }
 
 // handleJobByID dispatches /v1/jobs/{id}[/result|/events] by hand — the
@@ -312,7 +194,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id stri
 			if errors.Is(err, jobs.ErrNotFound) {
 				writeError(w, errNotFound("no such job: "+id))
 			} else { // client gone; best effort
-				writeError(w, &apiError{status: statusClientClosedRequest, body: errorBody{"canceled", "client closed request"}})
+				writeError(w, &apiError{status: statusClientClosedRequest, body: client.ItemError{Code: "canceled", Message: "client closed request"}})
 			}
 			return
 		}
@@ -328,16 +210,18 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request, id stri
 		w.WriteHeader(http.StatusOK)
 		w.Write(body)
 	case jobs.Canceled:
-		writeError(w, &apiError{status: http.StatusConflict, body: errorBody{"canceled", snap.Err.Error()}})
+		writeError(w, &apiError{status: http.StatusConflict, body: client.ItemError{Code: "canceled", Message: snap.Err.Error()}})
 	case jobs.Failed:
 		// Replay the stored envelope: the job's failure answers exactly
-		// as the synchronous endpoint would have.
+		// as the synchronous endpoint would have. A failure with no
+		// synchronous counterpart (a campaign's) is an unprocessable
+		// evaluation carrying its record's error.
 		var ae *apiError
 		if errors.As(snap.Err, &ae) {
 			writeError(w, ae)
 			return
 		}
-		writeError(w, errInternal(snap.Err.Error()))
+		writeError(w, &apiError{status: http.StatusUnprocessableEntity, body: *toJob(snap).Err})
 	default: // queued or running
 		writeError(w, errUnavailable(fmt.Sprintf("job %s is %s; result not ready (poll, or retry with ?wait=1)", id, snap.State), 1))
 	}
@@ -353,7 +237,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, id stri
 		writeError(w, errNotFound("no such job: "+id))
 		return
 	}
-	resp := jobEventsResponse{Events: make([]jobJSON, len(evs))}
+	resp := client.JobEvents{Events: make([]client.JobStatus, len(evs))}
 	for i, snap := range evs {
 		resp.Events[i] = toJob(snap)
 	}

@@ -13,31 +13,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nanobench/client"
 )
 
-// jobRecord mirrors jobJSON for test-side decoding.
-type jobRecord struct {
-	ID          string `json:"id"`
-	Kind        string `json:"kind"`
-	State       string `json:"state"`
-	SubmittedNs int64  `json:"submitted_ns"`
-	StartedNs   int64  `json:"started_ns"`
-	FinishedNs  int64  `json:"finished_ns"`
-	Progress    struct {
-		Total     int `json:"total"`
-		Completed int `json:"completed"`
-		Failed    int `json:"failed"`
-		CacheHits int `json:"cache_hits"`
-	} `json:"progress"`
-	Error *struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-	} `json:"error"`
-}
-
-func decodeJob(t *testing.T, body []byte) jobRecord {
+func decodeJob(t *testing.T, body []byte) client.JobStatus {
 	t.Helper()
-	var j jobRecord
+	var j client.JobStatus
 	if err := json.Unmarshal(body, &j); err != nil {
 		t.Fatalf("not a job record: %v\n%s", err, body)
 	}
@@ -45,7 +27,7 @@ func decodeJob(t *testing.T, body []byte) jobRecord {
 }
 
 // pollJob polls the status endpoint until the predicate holds.
-func pollJob(t *testing.T, ts *httptest.Server, id string, pred func(jobRecord) bool) jobRecord {
+func pollJob(t *testing.T, ts *httptest.Server, id string, pred func(client.JobStatus) bool) client.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -80,7 +62,7 @@ func TestJobSubmitPollResult(t *testing.T) {
 		t.Errorf("submit timestamps = %+v", submitted)
 	}
 
-	final := pollJob(t, ts, submitted.ID, func(j jobRecord) bool { return j.State == "done" })
+	final := pollJob(t, ts, submitted.ID, func(j client.JobStatus) bool { return j.State == "done" })
 	if final.Progress.Total != 1 || final.Progress.Completed != 1 || final.Progress.Failed != 0 {
 		t.Errorf("final progress = %+v", final.Progress)
 	}
@@ -107,9 +89,7 @@ func TestJobSubmitPollResult(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("events status %d: %s", status, body)
 	}
-	var evs struct {
-		Events []jobRecord `json:"events"`
-	}
+	var evs client.JobEvents
 	if err := json.Unmarshal(body, &evs); err != nil {
 		t.Fatal(err)
 	}
@@ -134,39 +114,54 @@ func TestJobSubmitPollResult(t *testing.T) {
 // submitted as an async job — sharded across 4 workers server-side —
 // returns result bytes identical to the synchronous /v1/sweep response,
 // each from a fresh server so neither leg is served the other's cache.
+// A heterogeneous runbatch job matches /v1/runbatch the same way.
 func TestJobSweepEquivalence(t *testing.T) {
-	const body = `{"sweep": {
-		"base": {"n_measurements": 3},
-		"cpus": ["Skylake", "Haswell"],
-		"asm": ["add rax, rbx", "imul rax, rbx", "add rax, rbx"],
-		"unrolls": [10, 100]
-	}}`
+	cases := []struct {
+		kind, body string
+		items      int
+	}{
+		{"sweep", `{"sweep": {
+			"base": {"n_measurements": 3},
+			"cpus": ["Skylake", "Haswell"],
+			"asm": ["add rax, rbx", "imul rax, rbx", "add rax, rbx"],
+			"unrolls": [10, 100]
+		}}`, 12},
+		{"runbatch", `{"jobs": [
+			{"cpu": "Skylake", "config": {"asm": "add rax, rbx", "n_measurements": 3}},
+			{"cpu": "Haswell", "mode": "user", "config": {"asm": "imul rax, rbx", "n_measurements": 3}},
+			{"cpu": "Skylake", "config": {"asm": "add rax, rbx", "n_measurements": 3}}
+		]}`, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.kind, func(t *testing.T) {
+			syncTS := newTestServer(t, Options{Seed: 42})
+			status, want := post(t, syncTS, "/v1/"+tc.kind, tc.body)
+			if status != http.StatusOK {
+				t.Fatalf("sync %s status %d: %s", tc.kind, status, want)
+			}
 
-	syncTS := newTestServer(t, Options{Seed: 42})
-	status, want := post(t, syncTS, "/v1/sweep", body)
-	if status != http.StatusOK {
-		t.Fatalf("sync sweep status %d: %s", status, want)
-	}
+			asyncTS := newTestServer(t, Options{Seed: 42, SweepShards: 4})
+			status, sub := post(t, asyncTS, "/v1/jobs", `{"`+tc.kind+`": `+tc.body+`}`)
+			if status != http.StatusAccepted {
+				t.Fatalf("submit status %d: %s", status, sub)
+			}
+			id := decodeJob(t, sub).ID
+			status, got := get(t, asyncTS, "/v1/jobs/"+id+"/result?wait=1")
+			if status != http.StatusOK {
+				t.Fatalf("result status %d: %s", status, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s job result differs from the synchronous response:\njob:  %s\nsync: %s", tc.kind, got, want)
+			}
 
-	asyncTS := newTestServer(t, Options{Seed: 42, SweepShards: 4})
-	status, sub := post(t, asyncTS, "/v1/jobs", `{"sweep": `+body+`}`)
-	if status != http.StatusAccepted {
-		t.Fatalf("submit status %d: %s", status, sub)
-	}
-	id := decodeJob(t, sub).ID
-	status, got := get(t, asyncTS, "/v1/jobs/"+id+"/result?wait=1")
-	if status != http.StatusOK {
-		t.Fatalf("result status %d: %s", status, got)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("sharded job result differs from the synchronous sweep:\njob:  %s\nsync: %s", got, want)
-	}
-
-	// The duplicated asm entry rides the global-dedupe path (fanned out,
-	// not re-evaluated); the progress counters still cover every index.
-	final := pollJob(t, asyncTS, id, func(j jobRecord) bool { return j.State == "done" })
-	if final.Progress.Total != 12 || final.Progress.Completed != 12 || final.Progress.Failed != 0 {
-		t.Errorf("progress = %+v, want 12/12", final.Progress)
+			// Duplicated entries ride the global-dedupe path (fanned out,
+			// not re-evaluated); the progress counters still cover every
+			// index.
+			final := pollJob(t, asyncTS, id, func(j client.JobStatus) bool { return j.State == "done" })
+			if final.Progress.Total != tc.items || final.Progress.Completed != tc.items || final.Progress.Failed != 0 {
+				t.Errorf("progress = %+v, want %d/%d", final.Progress, tc.items, tc.items)
+			}
+		})
 	}
 }
 
@@ -190,7 +185,7 @@ func TestJobQueueOverflow429(t *testing.T) {
 		t.Fatalf("first submit: %d: %s", status, body)
 	}
 	first := decodeJob(t, body).ID
-	pollJob(t, ts, first, func(j jobRecord) bool { return j.State == "running" })
+	pollJob(t, ts, first, func(j client.JobStatus) bool { return j.State == "running" })
 	status, body = post(t, ts, "/v1/jobs", slowJobBody())
 	if status != http.StatusAccepted {
 		t.Fatalf("second submit: %d: %s", status, body)
@@ -235,7 +230,7 @@ func TestJobCancelWhileRunning(t *testing.T) {
 		t.Fatalf("submit: %d: %s", status, body)
 	}
 	id := decodeJob(t, body).ID
-	pollJob(t, ts, id, func(j jobRecord) bool { return j.State == "running" })
+	pollJob(t, ts, id, func(j client.JobStatus) bool { return j.State == "running" })
 
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 	if err != nil {
@@ -253,7 +248,7 @@ func TestJobCancelWhileRunning(t *testing.T) {
 
 	// The running sweep winds down between benchmark runs and the job
 	// lands canceled — far sooner than the seconds it had left.
-	final := pollJob(t, ts, id, func(j jobRecord) bool { return j.State != "running" })
+	final := pollJob(t, ts, id, func(j client.JobStatus) bool { return j.State != "running" })
 	if final.State != "canceled" {
 		t.Fatalf("post-cancel state %q, want canceled", final.State)
 	}
@@ -293,7 +288,7 @@ func TestJobDrainOnShutdown(t *testing.T) {
 		t.Fatalf("first submit: %d: %s", status, body)
 	}
 	running := decodeJob(t, body).ID
-	pollJob(t, ts, running, func(j jobRecord) bool { return j.State == "running" })
+	pollJob(t, ts, running, func(j client.JobStatus) bool { return j.State == "running" })
 	status, body = post(t, ts, "/v1/jobs", slowJobBody())
 	if status != http.StatusAccepted {
 		t.Fatalf("second submit: %d: %s", status, body)
@@ -308,10 +303,10 @@ func TestJobDrainOnShutdown(t *testing.T) {
 	if err := srv.Shutdown(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("shutdown = %v, want DeadlineExceeded (running job outlives the budget)", err)
 	}
-	if j := pollJob(t, ts, queued, func(j jobRecord) bool { return j.State != "queued" }); j.State != "canceled" {
+	if j := pollJob(t, ts, queued, func(j client.JobStatus) bool { return j.State != "queued" }); j.State != "canceled" {
 		t.Errorf("queued job ended %q, want parked canceled", j.State)
 	}
-	if j := pollJob(t, ts, running, func(j jobRecord) bool { return j.State != "running" }); j.State != "canceled" {
+	if j := pollJob(t, ts, running, func(j client.JobStatus) bool { return j.State != "running" }); j.State != "canceled" {
 		t.Errorf("running job ended %q, want canceled", j.State)
 	}
 
@@ -342,6 +337,7 @@ func TestJobValidation(t *testing.T) {
 			`{"run": {"config": {"asm": "nop"}}, "sweep": {"sweep": {"asm": ["nop"]}}}`, 400, "bad_request"},
 		{"invalid inner request", "POST", "/v1/jobs", `{"run": {"config": {}}}`, 422, "invalid_argument"},
 		{"unknown inner cpu", "POST", "/v1/jobs", `{"run": {"cpu": "Pentium", "config": {"asm": "nop"}}}`, 422, "invalid_argument"},
+		{"missing inner sweep", "POST", "/v1/jobs", `{"sweep": {}}`, 422, "invalid_argument"},
 		// Each campaign size sits one past its limit.
 		{"campaign workers cap", "POST", "/v1/jobs",
 			`{"campaign": {"cpus": ["Skylake"], "levels": ["L1"], "workers": 65}}`, 422, "invalid_argument"},
@@ -418,8 +414,8 @@ func TestJobFailedReplaysEnvelope(t *testing.T) {
 		t.Fatalf("submit: %d: %s", status, sub)
 	}
 	id := decodeJob(t, sub).ID
-	final := pollJob(t, ts, id, func(j jobRecord) bool { return j.State != "queued" && j.State != "running" })
-	if final.State != "failed" || final.Error == nil || final.Error.Code != "evaluation_failed" {
+	final := pollJob(t, ts, id, func(j client.JobStatus) bool { return j.State != "queued" && j.State != "running" })
+	if final.State != "failed" || final.Err == nil || final.Err.Code != "evaluation_failed" {
 		t.Fatalf("final record = %+v", final)
 	}
 
@@ -434,6 +430,37 @@ func TestJobFailedReplaysEnvelope(t *testing.T) {
 	syncStatus, syncBody := post(t, ts, "/v1/run", body)
 	if syncStatus != 422 || !bytes.Equal(result, syncBody) {
 		t.Errorf("replayed envelope differs from the synchronous one (%d):\njob:  %s\nsync: %s", syncStatus, result, syncBody)
+	}
+}
+
+// TestJobFailedCampaignResult submits a campaign that passes validation
+// but fails during evaluation — 1,000 fresh blocks exceed what the
+// tool's area holds for IvyBridge's L3 set 780 — and requires its result
+// to answer as an unprocessable evaluation with its record's code, not
+// as a server fault.
+func TestJobFailedCampaignResult(t *testing.T) {
+	ts := newTestServer(t, Options{Seed: 42})
+	status, sub := post(t, ts, "/v1/jobs", `{"campaign": {"cpus": ["IvyBridge"], "levels": ["L1"],
+		"age_graphs": true, "age_max_fresh": 1000, "age_step": 500, "age_trials": 2}}`)
+	if status != http.StatusAccepted {
+		t.Fatalf("submit: %d: %s", status, sub)
+	}
+	id := decodeJob(t, sub).ID
+	final := pollJob(t, ts, id, func(j client.JobStatus) bool { return j.Terminal() })
+	if final.State != "failed" || final.Err == nil || final.Err.Code != "evaluation_failed" {
+		t.Fatalf("final record = %+v", final)
+	}
+
+	status, result := get(t, ts, "/v1/jobs/"+id+"/result")
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("failed-campaign result status %d: %s", status, result)
+	}
+	var envelope client.ErrorResponse
+	if err := json.Unmarshal(result, &envelope); err != nil {
+		t.Fatal(err)
+	}
+	if envelope.Error != *final.Err {
+		t.Errorf("result envelope %+v differs from the record's error %+v", envelope.Error, *final.Err)
 	}
 }
 
@@ -466,7 +493,7 @@ func TestJobEventsStreamLive(t *testing.T) {
 	// job out-of-band and require the stream to end on a terminal line.
 	sc := bufio.NewScanner(resp.Body)
 	sawProgress, canceled := false, false
-	var last jobRecord
+	var last client.JobStatus
 	for sc.Scan() {
 		last = decodeJob(t, sc.Bytes())
 		if last.State == "running" && last.Progress.Completed > 0 && !canceled {
@@ -508,7 +535,7 @@ func TestCampaignJobDeterministicAcrossWorkers(t *testing.T) {
 		if submitted.Kind != "campaign" {
 			t.Fatalf("kind = %q, want campaign", submitted.Kind)
 		}
-		final := pollJob(t, ts, submitted.ID, func(j jobRecord) bool { return j.State == "done" })
+		final := pollJob(t, ts, submitted.ID, func(j client.JobStatus) bool { return j.State == "done" })
 		// One (CPU, level) cell plus one age row.
 		if final.Progress.Total != 2 || final.Progress.Completed != 2 {
 			t.Errorf("workers=%d progress = %+v", workers, final.Progress)

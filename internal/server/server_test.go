@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nanobench"
+	"nanobench/client"
 )
 
 func newServer(t *testing.T, opts Options) *Server {
@@ -69,12 +70,7 @@ func get(t *testing.T, ts *httptest.Server, path string) (int, []byte) {
 // errorCode extracts the envelope's machine-readable code.
 func errorCode(t *testing.T, body []byte) string {
 	t.Helper()
-	var envelope struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var envelope client.ErrorResponse
 	if err := json.Unmarshal(body, &envelope); err != nil {
 		t.Fatalf("response is not an error envelope: %v\n%s", err, body)
 	}
@@ -172,6 +168,8 @@ func TestRequestValidation(t *testing.T) {
 		{"unroll bomb", "POST", "/v1/run", `{"config": {"asm": "nop", "unroll_count": 2000000000}}`, 422, "evaluation_failed"},
 		{"sweep run count cap", "POST", "/v1/sweep", `{"sweep": {"base": {"n_measurements": 200000}, "asm": ["nop"]}}`, 422, "invalid_argument"},
 		{"empty sweep", "POST", "/v1/sweep", `{"sweep": {}}`, 422, "invalid_argument"},
+		{"missing sweep", "POST", "/v1/sweep", `{}`, 422, "invalid_argument"},
+		{"null sweep", "POST", "/v1/sweep?stream=1", `{"sweep": null}`, 422, "invalid_argument"},
 		{"sweep bad asm", "POST", "/v1/sweep", `{"sweep": {"asm": ["not an instruction"]}}`, 422, "invalid_argument"},
 		{"sweep too large", "POST", "/v1/sweep", `{"sweep": {"asm": ["nop"], "unrolls": [1,2,3,4,5]}}`, 422, "invalid_argument"},
 		{"healthz wrong method", "POST", "/v1/healthz", ``, 405, "method_not_allowed"},

@@ -26,7 +26,7 @@ func (s *Server) streamItems(w http.ResponseWriter, items <-chan nanobench.Batch
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	for it := range items {
-		if err := enc.Encode(toItem(it.Index, it)); err != nil {
+		if err := enc.Encode(toItem(it)); err != nil {
 			for range items { //nolint:revive // drain; see doc comment
 			}
 			return

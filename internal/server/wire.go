@@ -11,61 +11,18 @@ import (
 	"strconv"
 
 	"nanobench"
+	"nanobench/client"
 	"nanobench/internal/jobs"
 )
 
-// The wire schema below is documented in docs/API.md; the golden test
-// keeps the two in lock-step. Non-streamed responses are emitted
-// json.MarshalIndent-pretty (two-space indent, trailing newline) so curl
-// output and the documented examples are byte-identical; NDJSON stream
-// lines are compact, one JSON object per line.
-
-// runRequest is the body of POST /v1/run, and one element of a
-// runbatch's "jobs".
-type runRequest struct {
-	CPU    string           `json:"cpu,omitempty"`
-	Mode   string           `json:"mode,omitempty"`
-	Config nanobench.Config `json:"config"`
-}
-
-// runResponse is the body of a successful POST /v1/run.
-type runResponse struct {
-	CPU    string            `json:"cpu"`
-	Mode   string            `json:"mode"`
-	Result *nanobench.Result `json:"result"`
-}
-
-// batchRequest is the body of POST /v1/runbatch.
-type batchRequest struct {
-	Jobs []runRequest `json:"jobs"`
-}
-
-// batchResponse is the body of a successful POST /v1/runbatch.
-type batchResponse struct {
-	Results []itemJSON `json:"results"`
-}
-
-// sweepRequest is the body of POST /v1/sweep.
-type sweepRequest struct {
-	CPU   string          `json:"cpu,omitempty"`
-	Mode  string          `json:"mode,omitempty"`
-	Sweep nanobench.Sweep `json:"sweep"`
-}
-
-// sweepResponse is the body of a successful non-streamed POST /v1/sweep.
-type sweepResponse struct {
-	Count   int        `json:"count"`
-	Results []itemJSON `json:"results"`
-}
-
-// itemJSON is one evaluation's outcome inside a batch or sweep response,
-// and the NDJSON stream line format. Exactly one of result and error is
-// set.
-type itemJSON struct {
-	Index  int               `json:"index"`
-	Result *nanobench.Result `json:"result,omitempty"`
-	Error  *errorBody        `json:"error,omitempty"`
-}
+// The wire schema is documented in docs/API.md; the golden test keeps
+// the two in lock-step. The /v1 evaluation and job bodies are the client
+// package's exported types; this file declares only the server-side
+// bodies (healthz, stats) and the error plumbing. Non-streamed responses
+// are emitted json.MarshalIndent-pretty (two-space indent, trailing
+// newline) so curl output and the documented examples are
+// byte-identical; NDJSON stream lines are compact, one JSON object per
+// line.
 
 // healthzResponse is the body of GET /v1/healthz.
 type healthzResponse struct {
@@ -102,23 +59,11 @@ type optionsStat struct {
 	CacheMaxEntries int   `json:"cache_max_entries"`
 }
 
-// errorBody is the error envelope's payload: a stable machine-readable
-// code plus a human-readable message.
-type errorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// errorResponse is the error envelope every failed request returns.
-type errorResponse struct {
-	Error errorBody `json:"error"`
-}
-
 // apiError pairs an error envelope with its HTTP status and, for the
 // backpressure codes, a Retry-After hint in seconds.
 type apiError struct {
 	status     int
-	body       errorBody
+	body       client.ItemError
 	retryAfter int
 }
 
@@ -130,35 +75,35 @@ func (e *apiError) Error() string {
 
 // Error codes of the envelope, with their HTTP statuses.
 func errBadRequest(msg string) *apiError {
-	return &apiError{status: http.StatusBadRequest, body: errorBody{"bad_request", msg}}
+	return &apiError{status: http.StatusBadRequest, body: client.ItemError{Code: "bad_request", Message: msg}}
 }
 func errInvalid(msg string) *apiError {
-	return &apiError{status: http.StatusUnprocessableEntity, body: errorBody{"invalid_argument", msg}}
+	return &apiError{status: http.StatusUnprocessableEntity, body: client.ItemError{Code: "invalid_argument", Message: msg}}
 }
 func errNotFound(msg string) *apiError {
-	return &apiError{status: http.StatusNotFound, body: errorBody{"not_found", msg}}
+	return &apiError{status: http.StatusNotFound, body: client.ItemError{Code: "not_found", Message: msg}}
 }
 func errMethod(msg string) *apiError {
-	return &apiError{status: http.StatusMethodNotAllowed, body: errorBody{"method_not_allowed", msg}}
+	return &apiError{status: http.StatusMethodNotAllowed, body: client.ItemError{Code: "method_not_allowed", Message: msg}}
 }
 func errTooLarge(msg string) *apiError {
-	return &apiError{status: http.StatusRequestEntityTooLarge, body: errorBody{"request_too_large", msg}}
+	return &apiError{status: http.StatusRequestEntityTooLarge, body: client.ItemError{Code: "request_too_large", Message: msg}}
 }
 func errInternal(msg string) *apiError {
-	return &apiError{status: http.StatusInternalServerError, body: errorBody{"internal", msg}}
+	return &apiError{status: http.StatusInternalServerError, body: client.ItemError{Code: "internal", Message: msg}}
 }
 
 // errQueueFull is the admission-backpressure rejection: the job queue
 // stayed full past its patience window. retryAfter is the server's
 // drain-time estimate in seconds, sent as a Retry-After header.
 func errQueueFull(msg string, retryAfter int) *apiError {
-	return &apiError{status: http.StatusTooManyRequests, body: errorBody{"queue_full", msg}, retryAfter: retryAfter}
+	return &apiError{status: http.StatusTooManyRequests, body: client.ItemError{Code: "queue_full", Message: msg}, retryAfter: retryAfter}
 }
 
 // errUnavailable covers the not-ready and shutting-down cases: a result
 // requested before its job finished, or a submission during drain.
 func errUnavailable(msg string, retryAfter int) *apiError {
-	return &apiError{status: http.StatusServiceUnavailable, body: errorBody{"unavailable", msg}, retryAfter: retryAfter}
+	return &apiError{status: http.StatusServiceUnavailable, body: client.ItemError{Code: "unavailable", Message: msg}, retryAfter: retryAfter}
 }
 
 // statusClientClosedRequest is nginx's non-standard 499: the client went
@@ -168,14 +113,14 @@ const statusClientClosedRequest = 499
 
 // itemError maps a per-evaluation error to the envelope payload used
 // inside batch items and stream lines.
-func itemError(err error) *errorBody {
+func itemError(err error) *client.ItemError {
 	switch {
 	case errors.Is(err, context.Canceled):
-		return &errorBody{"canceled", "evaluation canceled"}
+		return &client.ItemError{Code: "canceled", Message: "evaluation canceled"}
 	case errors.Is(err, context.DeadlineExceeded):
-		return &errorBody{"deadline_exceeded", "evaluation deadline exceeded"}
+		return &client.ItemError{Code: "deadline_exceeded", Message: "evaluation deadline exceeded"}
 	}
-	return &errorBody{"evaluation_failed", err.Error()}
+	return &client.ItemError{Code: "evaluation_failed", Message: err.Error()}
 }
 
 // decodeJSON strictly decodes the request body into v: unknown fields,
@@ -233,5 +178,5 @@ func writeError(w http.ResponseWriter, e *apiError) {
 	if e.retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(e.retryAfter))
 	}
-	writeJSON(w, e.status, errorResponse{Error: e.body})
+	writeJSON(w, e.status, client.ErrorResponse{Error: e.body})
 }

@@ -303,10 +303,6 @@ func (p *qlru) Reset() {
 	}
 }
 
-// Ages returns a copy of the current age bits (valid ways only are
-// meaningful); used by tests and debugging output.
-func (p *qlru) Ages() []uint8 { return append([]uint8(nil), p.ages...) }
-
 // EnumerateQLRU returns the canonical names of all meaningful deterministic
 // QLRU variants: 6 hit-promotion functions × 4 insertion ages × 3 R
 // variants × 4 U variants × {“”, UMO}, minus the invalid R0+U2/U3

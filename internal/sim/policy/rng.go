@@ -60,12 +60,6 @@ func NewSetRand(root int64, slice, set int, stream int64) *rand.Rand {
 // construct the stream on demand.
 type RNGFor func(set int) *rand.Rand
 
-// FixedRNG adapts a single shared *rand.Rand to an RNGFor (every set draws
-// from the same stream, in access order — the pre-engine behaviour).
-func FixedRNG(rng *rand.Rand) RNGFor {
-	return func(int) *rand.Rand { return rng }
-}
-
 // LazyRNG returns an RNGFor that materializes one shared stream seeded
 // with seed on first draw. Deterministic policies never trigger the
 // construction, which keeps building large candidate pools cheap.

@@ -231,13 +231,6 @@ func decodeMem(buf []byte, i int, mod, rm, rexX, rexB byte) (Mem, int, error) {
 	return m, i, nil
 }
 
-// InstrLen returns the encoded length of the instruction at the start of
-// buf without fully materializing operand values.
-func InstrLen(buf []byte) (int, error) {
-	_, n, err := Decode(buf)
-	return n, err
-}
-
 // Disassemble decodes consecutive instructions from buf until it is
 // exhausted, rendering each in Intel syntax. It is intended for debugging
 // and test output.

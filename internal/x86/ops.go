@@ -145,24 +145,6 @@ func OpNamed(name string) (Op, bool) {
 	return op, ok
 }
 
-// IsBranch reports whether op is a control-transfer instruction.
-func (op Op) IsBranch() bool {
-	switch op {
-	case JMP, JZ, JNZ, JC, JNC, JL, JGE, JLE, JG, JS, JNS, CALL, RET:
-		return true
-	}
-	return false
-}
-
-// IsCondBranch reports whether op is a conditional branch.
-func (op Op) IsCondBranch() bool {
-	switch op {
-	case JZ, JNZ, JC, JNC, JL, JGE, JLE, JG, JS, JNS:
-		return true
-	}
-	return false
-}
-
 // IsPrivileged reports whether op faults with #GP when executed in user
 // mode on the simulated machine. RDPMC is special-cased by the machine
 // depending on the CR4.PCE flag and is not listed here.

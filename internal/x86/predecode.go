@@ -169,19 +169,6 @@ func classifyFast(d *DecodedInstr) {
 	}
 }
 
-// DefaultLineShift is the log2 line size PredecodeAt assumes when callers
-// have no cache geometry (64-byte lines, every modelled machine).
-const DefaultLineShift = 6
-
-// Predecode resolves a decoded instruction of encoded length n into its
-// pre-decoded form, assuming address 0 and 64-byte instruction-cache
-// lines. Engines that know the instruction's address and the machine's
-// line geometry use PredecodeAt so the entry's Next/Target/line-span
-// fields are meaningful.
-func Predecode(in Instr, n int) (DecodedInstr, error) {
-	return PredecodeAt(in, n, 0, DefaultLineShift)
-}
-
 // PredecodeAt resolves a decoded instruction of encoded length n at
 // virtual address rip into its pre-decoded form, computing the absolute
 // fallthrough and branch-target addresses and the instruction's cache-line

@@ -36,17 +36,6 @@ const (
 	PortsBranch = P0 | P6
 )
 
-// CountPorts returns the number of ports in the mask.
-func (m PortMask) CountPorts() int {
-	n := 0
-	for i := 0; i < NumPorts; i++ {
-		if m&(1<<i) != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // portListTab precomputes the port-index list of every possible mask. The
 // core's dispatch loop fetches one of these per µop; computing (and
 // allocating) the list on every dispatch dominated the scheduler's cost.

@@ -3,7 +3,8 @@
 # build the binary, start it with the docs/API.md golden configuration,
 # curl /v1/healthz and a small /v1/run, submit a sweep through the async
 # jobs API (submit → long-poll → result), scrape /metrics, check that an
-# oversized campaign is refused while the daemon keeps serving, and diff each
+# oversized campaign is refused and that a campaign failing mid-evaluation
+# answers 422 while the daemon keeps serving, and diff each
 # deterministic response against the corresponding example in
 # docs/API.md. (Job records and the metrics body carry wall-clock
 # timestamps, so those are checked structurally, not byte-for-byte.)
@@ -86,6 +87,18 @@ printf '%s' "$OVERSIZED" | grep -q '"code": "invalid_argument"' \
 	|| { echo "oversized campaign refusal is not invalid_argument: $OVERSIZED" >&2; exit 1; }
 curl -sf "http://$ADDR/v1/healthz" >/dev/null \
 	|| { echo "/v1/healthz stopped answering after an oversized campaign" >&2; exit 1; }
+
+echo "== a campaign that fails mid-evaluation answers 422 and the daemon keeps serving"
+FAILING="$(curl -s -X POST --data-binary '{"campaign": {"cpus": ["IvyBridge"], "levels": ["L1"], "age_graphs": true, "age_max_fresh": 1000, "age_step": 500, "age_trials": 2}}' "http://$ADDR/v1/jobs")"
+CJOB="$(printf '%s' "$FAILING" | sed -n 's/.*"id": "\([^"]*\)".*/\1/p' | head -n 1)"
+[ -n "$CJOB" ] || { echo "campaign submit returned no job id: $FAILING" >&2; exit 1; }
+FAILED="$(curl -s -w '\n%{http_code}' "http://$ADDR/v1/jobs/$CJOB/result?wait=1")"
+[ "$(printf '%s' "$FAILED" | tail -n 1)" = 422 ] \
+	|| { echo "failed campaign result is not 422: $FAILED" >&2; exit 1; }
+printf '%s' "$FAILED" | grep -q '"code": "evaluation_failed"' \
+	|| { echo "failed campaign result is not evaluation_failed: $FAILED" >&2; exit 1; }
+curl -sf "http://$ADDR/v1/healthz" >/dev/null \
+	|| { echo "/v1/healthz stopped answering after a failed campaign" >&2; exit 1; }
 
 echo "== graceful shutdown"
 kill -TERM "$SRV"
