@@ -160,6 +160,53 @@ func TestClientSweepSyncAsyncAndStream(t *testing.T) {
 	}
 }
 
+// TestClientSubmitCampaign submits a one-model, L1-only campaign through
+// the typed client and decodes its single inferred cell.
+func TestClientSubmitCampaign(t *testing.T) {
+	c := newClient(t, server.Options{Seed: 42})
+	ctx := context.Background()
+	job, err := c.SubmitCampaign(ctx, client.CampaignRequest{
+		CPUs: []string{"IvyBridge"}, Levels: []string{"L1"}, MaxSequences: 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.ID == "" || job.Submitted.Kind != "campaign" || job.Submitted.Progress.Total != 1 {
+		t.Fatalf("job handle = %+v", job)
+	}
+	raw, err := job.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Cells []struct {
+			CPU, Level, Policy string
+			OK                 bool
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 1 {
+		t.Fatalf("campaign result: %s", raw)
+	}
+	if cell := res.Cells[0]; cell.CPU != "IvyBridge" || cell.Level != "L1" || !cell.OK || cell.Policy == "" {
+		t.Errorf("cell = %+v", cell)
+	}
+	status, err := job.Poll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status.State != "done" || status.Progress.Completed != 1 {
+		t.Errorf("status = %+v", status)
+	}
+
+	// An unknown level is refused at submit time with the typed envelope.
+	if _, err := c.SubmitCampaign(ctx, client.CampaignRequest{Levels: []string{"L4"}}); !client.IsCode(err, "bad_request") {
+		t.Errorf("unknown level: error %v, want code bad_request", err)
+	}
+}
+
 func TestClientCancel(t *testing.T) {
 	c := newClient(t, server.Options{Seed: 42, Parallelism: 1, JobWorkers: 1})
 	ctx := context.Background()

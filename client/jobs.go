@@ -100,6 +100,13 @@ func (c *Client) SubmitSweep(ctx context.Context, cpu, mode string, sw *nanobenc
 	return c.submit(ctx, JobRequest{Sweep: &SweepRequest{CPU: cpu, Mode: mode, Sweep: sw}})
 }
 
+// SubmitCampaign submits a policy-inference campaign as an asynchronous
+// job. Its result body is the campaign's cells and age rows; the same
+// request always returns the same bytes.
+func (c *Client) SubmitCampaign(ctx context.Context, req CampaignRequest) (*Job, error) {
+	return c.submit(ctx, JobRequest{Campaign: &req})
+}
+
 func (c *Client) submit(ctx context.Context, req JobRequest) (*Job, error) {
 	var snap JobStatus
 	if err := c.postJSON(ctx, "/v1/jobs", req, &snap); err != nil {

@@ -103,7 +103,9 @@ func writeBool(h hash.Hash, v bool) {
 // Cache memoizes evaluation results by content key, optionally bounded
 // by a least-recently-used entry limit. It is safe for concurrent use;
 // all accessors hand out deep copies, so cached values are immutable no
-// matter what callers do with the results.
+// matter what callers do with the results. An entry may also carry an
+// opaque rendering of its result (Executor.RunRendered), which later
+// lookups hand out shared instead of copying the result.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*list.Element // values are *cacheEntry
@@ -117,6 +119,9 @@ type Cache struct {
 type cacheEntry struct {
 	key Key
 	res *nano.Result
+	// rendered is the rendering RunRendered attached on the entry's first
+	// cache hit; nil until then. It leaves the cache with the entry.
+	rendered []byte
 }
 
 // NewCache builds an empty, unbounded result cache — the CLI default,
@@ -153,6 +158,32 @@ func (c *Cache) get(k Key) *nano.Result {
 	c.hits++
 	c.lru.MoveToFront(el)
 	return el.Value.(*cacheEntry).res
+}
+
+// rendering returns the rendering attached to k's entry and counts a
+// hit, like get. When k has no entry, or its entry no rendering, it
+// returns nil and counts nothing: the caller's get counts the lookup.
+// The bytes are shared; the caller must not modify them.
+func (c *Cache) rendering(k Key) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.entries[k]
+	if el == nil || el.Value.(*cacheEntry).rendered == nil {
+		return nil
+	}
+	c.hits++
+	c.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry).rendered
+}
+
+// attach stores rendered on k's entry; it does nothing when k has been
+// evicted meanwhile. It neither counts a lookup nor refreshes recency.
+func (c *Cache) attach(k Key, rendered []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el := c.entries[k]; el != nil {
+		el.Value.(*cacheEntry).rendered = rendered
+	}
 }
 
 // put stores a private copy of r under k, evicting the least recently

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -93,5 +94,63 @@ func TestCacheUnboundedNeverEvicts(t *testing.T) {
 	}
 	if info := c.Info(); info.Evictions != 0 || info.MaxEntries != 0 {
 		t.Errorf("Info = %+v, want unbounded with no evictions", info)
+	}
+}
+
+// TestRunRenderedStoresOnFirstHit walks one job through RunRendered:
+// the miss renders and stores nothing, the first hit renders and stores
+// the rendering, and later hits answer the stored bytes without
+// rendering. Every call counts one lookup, and the rendering leaves the
+// cache with its entry.
+func TestRunRenderedStoresOnFirstHit(t *testing.T) {
+	c := NewCacheLRU(1)
+	exec := New(Options{Workers: 1, RootSeed: 7, Cache: c})
+	job := Job{CPU: "Skylake", Mode: machine.Kernel, Cfg: nano.Config{Code: nano.MustAsm("add rbx, rbx"), NMeasurements: 2}}
+	renders := 0
+	render := func(r *nano.Result) ([]byte, error) {
+		renders++
+		return r.MarshalJSON()
+	}
+	ctx := context.Background()
+	want, err := New(Options{Workers: 1, RootSeed: 7}).RunContext(ctx, []Job{job})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := want[0].MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var stored []byte
+	for i, step := range []struct {
+		hit     bool
+		renders int
+	}{{false, 1}, {true, 2}, {true, 2}, {true, 2}} {
+		data, hit, err := exec.RunRendered(ctx, job, render)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != string(wantJSON) || hit != step.hit || renders != step.renders {
+			t.Fatalf("call %d: hit %v after %d renders, data %s; want hit %v after %d renders, data %s",
+				i, hit, renders, data, step.hit, step.renders, wantJSON)
+		}
+		if i == 1 {
+			stored = data
+		} else if i > 1 && &data[0] != &stored[0] {
+			t.Errorf("call %d rendered anew instead of answering the stored bytes", i)
+		}
+		if hits, misses := c.Stats(); hits != uint64(i) || misses != 1 {
+			t.Errorf("call %d: %d hits, %d misses; want %d, 1", i, hits, misses, i)
+		}
+	}
+
+	// Evicting the entry drops its rendering: the job re-simulates.
+	other := job
+	other.Cfg.Code = nano.MustAsm("imul rbx, rbx")
+	if _, err := exec.RunContext(ctx, []Job{other}); err != nil {
+		t.Fatal(err)
+	}
+	if _, hit, err := exec.RunRendered(ctx, job, render); err != nil || hit {
+		t.Fatalf("after eviction: hit %v, err %v; want a miss", hit, err)
 	}
 }

@@ -33,7 +33,8 @@
 // re-simulating, while the same content at a different batch index — a
 // different seed — is honestly re-evaluated rather than served a result
 // computed under another seed. Cache hits hand out deep copies:
-// pointer-distinct, value-equal results. A cache may be bounded with
+// pointer-distinct, value-equal results; only the renderings RunRendered
+// stores on entries are handed out shared. A cache may be bounded with
 // least-recently-used eviction (NewCacheLRU) — the configuration
 // long-running services use — and exposes occupancy and hit/miss/
 // eviction counters (Info) for their stats endpoints.
@@ -129,6 +130,46 @@ func (e *Executor) RunContext(ctx context.Context, jobs []Job) ([]*nano.Result, 
 		errs[it.Index] = it.Err
 	})
 	return results, errors.Join(errs...)
+}
+
+// RunRendered evaluates j as a one-job batch, exactly as a one-job
+// RunContext does (batch index 0, the same cache key), and returns
+// render's bytes for the result, plus whether the result came from the
+// cache. When the cache entry already carries a rendering, RunRendered
+// returns those bytes without evaluating, cloning or rendering. Otherwise
+// it runs j's unit, and when the result was a cache hit it attaches the
+// rendering to the entry, so a result evaluated once retains nothing.
+// Either way the call counts exactly one cache lookup, as RunContext
+// does.
+//
+// A stored rendering answers every later identical job, so render must
+// be a pure function of the result and the job's CPU and mode, and every
+// RunRendered caller sharing a cache must pass the same one. The
+// returned bytes may be shared: callers must not modify them.
+func (e *Executor) RunRendered(ctx context.Context, j Job, render func(*nano.Result) ([]byte, error)) (data []byte, cacheHit bool, err error) {
+	if err = ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	u := &unit{key: KeyOf(j), jobs: []int{0}}
+	cacheKey := withSeed(u.key, DeriveSeed(e.opts.RootSeed, 0))
+	c := e.opts.Cache
+	if c != nil {
+		if data = c.rendering(cacheKey); data != nil {
+			return data, true, nil
+		}
+	}
+	var it Item
+	e.runUnit(ctx, []Job{j}, u, func(got Item) { it = got })
+	if it.Err != nil {
+		return nil, false, it.Err
+	}
+	if data, err = render(it.Result); err != nil {
+		return nil, false, err
+	}
+	if it.CacheHit {
+		c.attach(cacheKey, data)
+	}
+	return data, it.CacheHit, nil
 }
 
 // Stream evaluates all jobs and delivers their results over the returned

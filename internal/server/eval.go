@@ -103,12 +103,15 @@ func (s *Server) prepareRun(req client.RunRequest) (evaluation, *apiError) {
 		return evaluation{}, e
 	}
 	return evaluation{kind: "run", n: 1, run: func(ctx context.Context, step func(cacheHit, failed bool)) (any, error) {
-		res, err := sess.Run(ctx, req.Config)
-		step(false, err != nil)
+		// A repeated run answers its first cached rendering's bytes.
+		data, hit, err := sess.RunRendered(ctx, req.Config, func(res *nanobench.Result) ([]byte, error) {
+			return renderJSON(client.RunResponse{CPU: sess.CPUName(), Mode: sess.Mode().String(), Result: res})
+		})
+		step(hit, err != nil)
 		if err != nil {
 			return nil, runError(err)
 		}
-		return client.RunResponse{CPU: sess.CPUName(), Mode: sess.Mode().String(), Result: res}, nil
+		return rendered(data), nil
 	}}, nil
 }
 

@@ -110,6 +110,45 @@ func TestJobSubmitPollResult(t *testing.T) {
 	}
 }
 
+// TestRunJobReportsCacheHit submits run jobs for a config a /v1/run has
+// already evaluated. The first is served from the result cache (the
+// first hit, which renders) and the second from the stored rendering;
+// both report the hit in their progress and answer the synchronous
+// bytes. A run job on a config no cache holds reports none.
+func TestRunJobReportsCacheHit(t *testing.T) {
+	ts := newTestServer(t, Options{Seed: 42})
+	runBody := `{"config": {"asm": "add rax, rbx", "n_measurements": 3}}`
+	status, want := post(t, ts, "/v1/run", runBody)
+	if status != http.StatusOK {
+		t.Fatalf("sync status %d: %s", status, want)
+	}
+	runJob := func(body string) (client.JobProgress, []byte) {
+		t.Helper()
+		status, sub := post(t, ts, "/v1/jobs", `{"run": `+body+`}`)
+		if status != http.StatusAccepted {
+			t.Fatalf("submit status %d: %s", status, sub)
+		}
+		id := decodeJob(t, sub).ID
+		status, result := get(t, ts, "/v1/jobs/"+id+"/result?wait=1")
+		if status != http.StatusOK {
+			t.Fatalf("result status %d: %s", status, result)
+		}
+		return pollJob(t, ts, id, func(j client.JobStatus) bool { return j.State == "done" }).Progress, result
+	}
+	for _, leg := range []string{"first hit", "stored hit"} {
+		progress, result := runJob(runBody)
+		if progress != (client.JobProgress{Total: 1, Completed: 1, CacheHits: 1}) {
+			t.Errorf("%s: progress = %+v, want one completed cache hit", leg, progress)
+		}
+		if !bytes.Equal(result, want) {
+			t.Errorf("%s: job result differs from the synchronous response:\njob:  %s\nsync: %s", leg, result, want)
+		}
+	}
+	if progress, _ := runJob(`{"config": {"asm": "imul rax, rbx", "n_measurements": 3}}`); progress.CacheHits != 0 {
+		t.Errorf("fresh config: progress = %+v, want no cache hit", progress)
+	}
+}
+
 // TestJobSweepEquivalence pins the headline determinism claim: a sweep
 // submitted as an async job — sharded across 4 workers server-side —
 // returns result bytes identical to the synchronous /v1/sweep response,

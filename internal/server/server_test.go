@@ -18,7 +18,7 @@ import (
 	"nanobench/client"
 )
 
-func newServer(t *testing.T, opts Options) *Server {
+func newServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	srv, err := New(opts)
 	if err != nil {

@@ -145,10 +145,17 @@ func decodeJSON(r *http.Request, v any) *apiError {
 	return nil
 }
 
+// rendered is a response body renderJSON has already rendered; a
+// second renderJSON passes it through unchanged.
+type rendered []byte
+
 // renderJSON renders v exactly as writeJSON puts it on the wire:
 // pretty-printed with a trailing newline. Job records store these bytes
 // so a job's result replays the synchronous response byte-for-byte.
 func renderJSON(v any) ([]byte, error) {
+	if data, ok := v.(rendered); ok {
+		return data, nil
+	}
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Smoke-test a live nanobenchd against the documented wire examples:
 # build the binary, start it with the docs/API.md golden configuration,
-# curl /v1/healthz and a small /v1/run, submit a sweep through the async
+# curl /v1/healthz and a small /v1/run (three times: the miss, the first
+# cache hit and a hit answered from the stored rendering, which must
+# count two cache hits on /metrics), submit a sweep through the async
 # jobs API (submit → long-poll → result), scrape /metrics, check that an
 # oversized campaign is refused and that a campaign failing mid-evaluation
 # answers 422 while the daemon keeps serving, and diff each
@@ -52,6 +54,21 @@ echo "== POST /v1/run matches the documented example"
 extract run-request | curl -s -X POST --data-binary @- "http://$ADDR/v1/run" \
 	| diff <(extract run-response) - \
 	|| { echo "/v1/run drifted from docs/API.md" >&2; exit 1; }
+
+# cache_hits prints the nanobenchd_cache_hits_total counter.
+cache_hits() {
+	curl -s "http://$ADDR/metrics" | awk '$1 == "nanobenchd_cache_hits_total" { print $2 }'
+}
+
+HITS="$(cache_hits)"
+for leg in "first cache hit" "stored-rendering hit"; do
+	echo "== POST /v1/run again ($leg) matches the documented example"
+	extract run-request | curl -s -X POST --data-binary @- "http://$ADDR/v1/run" \
+		| diff <(extract run-response) - \
+		|| { echo "/v1/run ($leg) drifted from docs/API.md" >&2; exit 1; }
+done
+[ "$(cache_hits)" = "$((HITS + 2))" ] \
+	|| { echo "nanobenchd_cache_hits_total went from $HITS to $(cache_hits), want +2" >&2; exit 1; }
 
 echo "== POST /v1/jobs accepts the documented submission"
 SUBMIT="$(extract jobs-submit-request | curl -s -X POST --data-binary @- "http://$ADDR/v1/jobs")"

@@ -165,6 +165,22 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 	return res[0], nil
 }
 
+// RunRendered is Run for callers that need only a rendering of the
+// result, such as a server's response bytes: it returns render's bytes
+// for the config's result, and whether the result came from the session
+// cache. A result's first cache hit stores its rendering in the cache
+// entry, and later identical calls return those bytes without cloning
+// or rendering the result again; a config evaluated once retains
+// nothing extra. Each call counts one cache lookup, as Run does.
+//
+// A stored rendering answers every later identical call on the cache, so
+// render must be a pure function of the result and the session's CPU
+// model and mode, and every session sharing the cache must pass the same
+// render. The returned bytes may be shared: do not modify them.
+func (s *Session) RunRendered(ctx context.Context, cfg Config, render func(*Result) ([]byte, error)) (data []byte, cacheHit bool, err error) {
+	return s.exec.RunRendered(ctx, s.jobs([]Config{cfg})[0], render)
+}
+
 // RunBatch evaluates the configurations in parallel, one machine per
 // in-flight evaluation, and returns the results in config order,
 // byte-identical for any parallelism level. Failed configs leave a nil
