@@ -78,16 +78,20 @@ bench:
 
 # Gate: fail on a >10% regression against the committed baseline
 # (bench/BENCH_BASELINE.json — see bench/README.md) in step throughput
-# (ns/instr, including the per-engine trace-mode series), the batch
+# (ns/instr, including the step and trace engine-tier series), the batch
 # policy kernels, and the wall time (ns/op) of the cache-policy
-# simulation benchmarks. The step baseline is the PR 9 trace-engine
-# capture, so the gate catches any slide back toward per-µop dispatch;
-# the cache and batch baselines are the PR 10 capture (batch probing +
-# seq-replay fast path), guarding the campaign-scale speedups.
+# simulation benchmarks. The engine tiers are named one by one: the
+# baseline still records the deleted chained tier, and a gated series
+# missing from the run fails the gate. The step baseline was captured
+# from the trace engine, so the gate catches any slide back toward
+# per-µop dispatch; the cache and batch baselines were captured with
+# batch probing and the seq-replay fast path, guarding the
+# campaign-scale speedups.
 bench-compare: BENCH_10.json
 	$(GO) run ./scripts/benchjson -baseline bench/BENCH_BASELINE.json -against BENCH_10.json \
 		-bench BenchmarkStepThroughput \
-		-bench BenchmarkEngineThroughput \
+		-bench BenchmarkEngineThroughput/step \
+		-bench BenchmarkEngineThroughput/trace \
 		-bench BenchmarkPolicyEngineBatch \
 		-bench BenchmarkTableIPolicies \
 		-bench BenchmarkFigure1AgeGraph \

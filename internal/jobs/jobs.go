@@ -16,15 +16,17 @@
 // configured bound (waiting up to MaxWait for a slot, the size+max-wait
 // admission shape) or fails fast with ErrQueueFull so the HTTP layer can
 // answer 429 with a Retry-After estimate instead of growing without
-// bound. Records of finished jobs are retained for TTL and pruned
-// lazily, so a crashed client can come back for its result without the
-// map growing forever.
+// bound. Records of finished jobs are retained for TTL, and at most
+// maxFinished of them, and pruned lazily, so a crashed client can come
+// back for its result without the map growing forever.
 package jobs
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -181,6 +183,11 @@ const (
 	DefaultQueueSize = 64
 	DefaultTTL       = 15 * time.Minute
 )
+
+// maxFinished bounds the finished job records a manager retains: a
+// submission that finds more prunes the records that finished first, as
+// TTL expiry would. Queued and running jobs are never pruned.
+const maxFinished = 256
 
 // Sentinel admission errors, mapped by the HTTP layer to queue_full 429
 // and unavailable 503.
@@ -559,17 +566,30 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// pruneLocked drops finished records older than TTL; callers hold m.mu.
+// pruneLocked drops finished records older than TTL and then, while more
+// than maxFinished finished records remain, the ones that finished first
+// (ties in submission order); callers hold m.mu.
 func (m *Manager) pruneLocked() {
 	cutoff := m.opts.Now() - m.opts.TTL.Nanoseconds()
+	var finished []*Job
 	keep := m.order[:0]
 	for _, id := range m.order {
 		j := m.jobs[id]
-		if j.state.Terminal() && j.finishedNs <= cutoff {
-			delete(m.jobs, id)
-			continue
+		if j.state.Terminal() {
+			if j.finishedNs <= cutoff {
+				delete(m.jobs, id)
+				continue
+			}
+			finished = append(finished, j)
 		}
 		keep = append(keep, id)
 	}
 	m.order = keep
+	if excess := len(finished) - maxFinished; excess > 0 {
+		slices.SortStableFunc(finished, func(a, b *Job) int { return cmp.Compare(a.finishedNs, b.finishedNs) })
+		for _, j := range finished[:excess] {
+			delete(m.jobs, j.id)
+		}
+		m.order = slices.DeleteFunc(m.order, func(id string) bool { return m.jobs[id] == nil })
+	}
 }

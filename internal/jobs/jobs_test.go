@@ -337,6 +337,98 @@ func TestTTLPrunesFinishedRecords(t *testing.T) {
 	}
 }
 
+// TestFinishedRecordsBounded: past maxFinished finished records, a
+// submission prunes the records that finished first — they answer
+// ErrNotFound, as expired ones do — while queued and running jobs stay,
+// however early they were submitted. The injected clock keeps every
+// record far inside its TTL, so only the bound prunes.
+func TestFinishedRecordsBounded(t *testing.T) {
+	m := New(Options{Workers: 2, QueueSize: 4, Now: fakeClock()})
+	defer shutdown(t, m)
+	quick := func(ctx context.Context, p *Progress) ([]byte, error) { return []byte("ok"), nil }
+	gateA, gateB := make(chan struct{}), make(chan struct{})
+	defer close(gateB)
+	blocked := func(gate chan struct{}) Task {
+		return func(ctx context.Context, p *Progress) ([]byte, error) {
+			<-gate
+			return []byte("ok"), nil
+		}
+	}
+	submit := func(task Task) string {
+		t.Helper()
+		snap, err := m.Submit("run", 1, task)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.ID
+	}
+	waitState := func(id string, want State) {
+		t.Helper()
+		for {
+			snap, changed, err := m.Watch(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.State == want {
+				return
+			}
+			if snap.State.Terminal() {
+				t.Fatalf("%s: state %s, want %s", id, snap.State, want)
+			}
+			<-changed
+		}
+	}
+
+	// a runs on one worker until released; the other worker finishes
+	// maxFinished+5 quick jobs.
+	a := submit(blocked(gateA))
+	waitState(a, Running)
+	var quickIDs []string
+	for i := 0; i < maxFinished+5; i++ {
+		id := submit(quick)
+		waitState(id, Done)
+		quickIDs = append(quickIDs, id)
+	}
+	// b takes the second worker, so c stays queued; b's submission finds
+	// maxFinished+1 finished records and prunes down to the bound.
+	b := submit(blocked(gateB))
+	waitState(b, Running)
+	c := submit(quick)
+	if snap, err := m.Get(c); err != nil || snap.State != Queued {
+		t.Fatalf("c = %+v, %v; want queued", snap, err)
+	}
+	for i, id := range quickIDs {
+		_, err := m.Get(id)
+		if pruned := errors.Is(err, ErrNotFound); pruned != (i < 5) {
+			t.Fatalf("quick job %d (%s): lookup error %v; want pruned %v", i, id, err, i < 5)
+		}
+	}
+	if got := m.Stats().Stored; got != maxFinished+3 {
+		t.Fatalf("stored %d records, want %d finished plus running a, b and queued c", got, maxFinished)
+	}
+
+	// a, submitted first, finishes after every quick job, and c after it
+	// on a's worker: the next submission finds two records over the bound
+	// and prunes the two that finished first, not a.
+	close(gateA)
+	waitState(a, Done)
+	waitState(c, Done)
+	submit(quick)
+	for _, id := range []string{a, c} {
+		if _, err := m.Get(id); err != nil {
+			t.Fatalf("%s, among the most recently finished records, was pruned: %v", id, err)
+		}
+	}
+	for _, id := range quickIDs[5:7] {
+		if _, err := m.Get(id); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("earliest finished record %s: lookup error %v, want ErrNotFound", id, err)
+		}
+	}
+	if _, body, err := m.Result(quickIDs[7]); err != nil || string(body) != "ok" {
+		t.Fatalf("retained record %s: body %q, err %v", quickIDs[7], body, err)
+	}
+}
+
 func TestWatchSignalsProgress(t *testing.T) {
 	m := New(Options{Workers: 1, Now: fakeClock()})
 	defer shutdown(t, m)

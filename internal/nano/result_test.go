@@ -260,7 +260,7 @@ func TestRunContextCancelled(t *testing.T) {
 // itself must watch the context: under a 50 ms deadline it returns the
 // deadline error well within 2 s, on every engine tier.
 func TestRunContextStopsRunawayRun(t *testing.T) {
-	for _, e := range []machine.Engine{machine.EngineTrace, machine.EngineChained, machine.EngineStep} {
+	for _, e := range []machine.Engine{machine.EngineTrace, machine.EngineStep} {
 		t.Run(e.String(), func(t *testing.T) {
 			r := skylakeRunner(t, machine.Kernel)
 			r.M.SetEngine(e)

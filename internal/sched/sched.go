@@ -132,34 +132,32 @@ func (e *Executor) RunContext(ctx context.Context, jobs []Job) ([]*nano.Result, 
 	return results, errors.Join(errs...)
 }
 
-// RunRendered evaluates j as a one-job batch, exactly as a one-job
-// RunContext does (batch index 0, the same cache key), and returns
-// render's bytes for the result, plus whether the result came from the
-// cache. When the cache entry already carries a rendering, RunRendered
-// returns those bytes without evaluating, cloning or rendering. Otherwise
-// it runs j's unit, and when the result was a cache hit it attaches the
-// rendering to the entry, so a result evaluated once retains nothing.
-// Either way the call counts exactly one cache lookup, as RunContext
-// does.
+// RunOne evaluates j exactly as RunContext(ctx, []Job{j}) does — batch
+// index 0, the same cache key, one cache lookup, the same result and
+// error text — but on the caller's goroutine, with no dedupe map or
+// ForEach worker.
+func (e *Executor) RunOne(ctx context.Context, j Job) (*nano.Result, error) {
+	it, _, _ := e.runOne(ctx, j, false)
+	return it.Result, it.Err
+}
+
+// RunRendered evaluates j as RunOne does and returns render's bytes for
+// the result, plus whether the result came from the cache. When the cache
+// entry already carries a rendering, RunRendered returns those bytes
+// without evaluating, cloning or rendering. Otherwise it runs j's unit,
+// and when the result was a cache hit it attaches the rendering to the
+// entry, so a result evaluated once retains nothing. Either way the call
+// counts exactly one cache lookup, as RunOne does.
 //
 // A stored rendering answers every later identical job, so render must
 // be a pure function of the result and the job's CPU and mode, and every
 // RunRendered caller sharing a cache must pass the same one. The
 // returned bytes may be shared: callers must not modify them.
 func (e *Executor) RunRendered(ctx context.Context, j Job, render func(*nano.Result) ([]byte, error)) (data []byte, cacheHit bool, err error) {
-	if err = ctx.Err(); err != nil {
-		return nil, false, err
+	it, stored, cacheKey := e.runOne(ctx, j, true)
+	if stored != nil {
+		return stored, true, nil
 	}
-	u := &unit{key: KeyOf(j), jobs: []int{0}}
-	cacheKey := withSeed(u.key, DeriveSeed(e.opts.RootSeed, 0))
-	c := e.opts.Cache
-	if c != nil {
-		if data = c.rendering(cacheKey); data != nil {
-			return data, true, nil
-		}
-	}
-	var it Item
-	e.runUnit(ctx, []Job{j}, u, func(got Item) { it = got })
 	if it.Err != nil {
 		return nil, false, it.Err
 	}
@@ -167,9 +165,29 @@ func (e *Executor) RunRendered(ctx context.Context, j Job, render func(*nano.Res
 		return nil, false, err
 	}
 	if it.CacheHit {
-		c.attach(cacheKey, data)
+		e.opts.Cache.attach(cacheKey, data)
 	}
 	return data, it.CacheHit, nil
+}
+
+// runOne is the one-job path RunOne and RunRendered share: j runs as the
+// unit of a one-job batch (batch index 0, the cache key withSeed derives
+// for it) through runUnit on the caller's goroutine, with KeyOf computed
+// once, and it returns the item and the cache key. With rendered set, a
+// rendering stored on j's cache entry answers the call instead: it comes
+// back as stored, counted as the call's one lookup, and nothing runs.
+func (e *Executor) runOne(ctx context.Context, j Job, rendered bool) (it Item, stored []byte, cacheKey Key) {
+	if err := ctx.Err(); err != nil {
+		return Item{Err: err}, nil, cacheKey
+	}
+	u := &unit{cacheKey: withSeed(KeyOf(j), DeriveSeed(e.opts.RootSeed, 0)), jobs: []int{0}}
+	if c := e.opts.Cache; rendered && c != nil {
+		if stored = c.rendering(u.cacheKey); stored != nil {
+			return Item{}, stored, u.cacheKey
+		}
+	}
+	e.runUnit(ctx, []Job{j}, u, func(got Item) { it = got })
+	return it, nil, u.cacheKey
 }
 
 // Stream evaluates all jobs and delivers their results over the returned
@@ -220,11 +238,11 @@ func InOrder(n int, produce func(put func(Item))) <-chan Item {
 
 // unit is one deduplicated evaluation: the set of job positions sharing a
 // content key. The lowest position is the representative; it alone
-// determines the machine seed.
+// determines the machine seed, and with it the cache key.
 type unit struct {
-	key  Key
-	rep  int
-	jobs []int
+	cacheKey Key
+	rep      int
+	jobs     []int
 }
 
 // execute runs the batch, calling deliver exactly once per job position
@@ -240,7 +258,7 @@ func (e *Executor) execute(ctx context.Context, jobs []Job, deliver func(Item)) 
 		k := KeyOf(j)
 		u := byKey[k]
 		if u == nil {
-			u = &unit{key: k, rep: i}
+			u = &unit{cacheKey: withSeed(k, DeriveSeed(e.opts.RootSeed, i)), rep: i}
 			byKey[k] = u
 			units = append(units, u)
 		}
@@ -265,10 +283,8 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 		}
 		return
 	}
-	seed := DeriveSeed(e.opts.RootSeed, u.rep)
-	cacheKey := withSeed(u.key, seed)
 	if c := e.opts.Cache; c != nil {
-		if hit := c.get(cacheKey); hit != nil {
+		if hit := c.get(u.cacheKey); hit != nil {
 			for _, i := range u.jobs {
 				deliver(Item{Index: i, Result: hit.Clone(), CacheHit: true})
 			}
@@ -276,7 +292,7 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 		}
 	}
 	j := jobs[u.rep]
-	res, err := evaluate(ctx, j, seed)
+	res, err := evaluate(ctx, j, DeriveSeed(e.opts.RootSeed, u.rep))
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// Interrupted mid-evaluation: report the bare context error so
@@ -295,7 +311,7 @@ func (e *Executor) runUnit(ctx context.Context, jobs []Job, u *unit, deliver fun
 		return
 	}
 	if c := e.opts.Cache; c != nil {
-		c.put(cacheKey, res)
+		c.put(u.cacheKey, res)
 	}
 	deliver(Item{Index: u.rep, Result: res})
 	for _, i := range u.jobs {

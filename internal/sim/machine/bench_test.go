@@ -72,12 +72,12 @@ func BenchmarkStepThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures the loop workload under each of the
-// three execution tiers, so the per-tier cost of trace mode's block
+// two execution tiers, so the per-tier cost of trace mode's block
 // dispatch and schedule replay is visible (and gated) separately from the
 // headline number.
 func BenchmarkEngineThroughput(b *testing.B) {
 	loop := benchWorkloads()[0]
-	for _, e := range []Engine{EngineStep, EngineChained, EngineTrace} {
+	for _, e := range []Engine{EngineStep, EngineTrace} {
 		b.Run(e.String(), func(b *testing.B) {
 			benchRunWorkload(b, loop.asm, e)
 		})

@@ -8,13 +8,13 @@ import (
 	"nanobench/internal/x86"
 )
 
-// The chained dispatcher (Run following the program's successor links)
-// must be observationally identical to single-step execution (resolving
-// every instruction from c.rip). randProgram generates terminating
-// programs that stress exactly the cases where the two could diverge:
-// straight-line runs, taken and not-taken branches, backward loop edges,
-// jumps resolved lazily, and stores into the code region that drop the
-// pre-decoded program mid-run.
+// The trace tier (Run executing blocks of fused entries) must be
+// observationally identical to single-step execution (one instruction per
+// loop iteration). randProgram generates terminating programs that stress
+// exactly the cases where the two could diverge: straight-line runs,
+// taken and not-taken branches, backward loop edges, jumps resolved
+// lazily, and stores into the code region that drop the pre-decoded
+// program mid-run.
 
 // progGen emits encodable instructions and tracks patchable slots.
 type progGen struct {
@@ -168,12 +168,11 @@ func runProgramEngine(t *testing.T, code []byte, e Engine) (string, error) {
 
 // TestChainedMatchesSingleStep is the engine-equivalence property test:
 // for randomized programs (random branches, loops, loads/stores, and
-// code-region self-writes triggering invalidation), all three execution
-// tiers — the reference single-step interpreter, the chained dispatcher,
-// and trace mode — must produce identical registers, cycle counts,
-// counter values, and error strings.
+// code-region self-writes triggering invalidation), both execution tiers
+// — the reference single-step tier and trace mode — must produce
+// identical registers, cycle counts, counter values, and error strings.
 func TestChainedMatchesSingleStep(t *testing.T) {
-	engines := []Engine{EngineStep, EngineChained, EngineTrace}
+	engines := []Engine{EngineStep, EngineTrace}
 	for seed := int64(0); seed < 40; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

@@ -253,19 +253,6 @@ func (m *Machine) fetch(d *x86.DecodedInstr) error {
 	return nil
 }
 
-// step executes the single instruction at c.rip, resolving it through
-// the pre-decoded program (or the slow decode path). It returns done=true
-// when the top-level RET transfers to the sentinel address. Run's chained
-// loop bypasses the per-step resolution; step is the reference engine the
-// chained dispatcher is property-tested against.
-func (m *Machine) step() (bool, error) {
-	d, err := m.decodedAt(m.core.rip)
-	if err != nil {
-		return false, err
-	}
-	return m.execOne(d)
-}
-
 // execOne executes one pre-decoded instruction. Everything the scheduler
 // needs — the flat µop array, the flags dependency, the fallthrough and
 // branch-target addresses, the L1I line span — is read from the entry
@@ -275,8 +262,8 @@ func (m *Machine) execOne(d *x86.DecodedInstr) (bool, error) {
 	c := &m.core
 	// Every future counter read samples at a dispatch cycle, which cannot
 	// be below the current front-end cycle: tell the PMU so it can settle
-	// its out-of-order event tails (see pmu.EventCounter). This watermark
-	// contract is per instruction, chained dispatch or not.
+	// its out-of-order event tails (see pmu.EventCounter). Outside trace
+	// blocks this watermark contract is per instruction.
 	m.PMU.Advance(c.feCycle)
 	if err := m.fetch(d); err != nil {
 		return false, err

@@ -12,8 +12,8 @@ import (
 // operands that run off the end of a mapping: a load of any width raises
 // #PF instead of reading zeros past the edge, a store faults without
 // committing a single byte (so the installed program can never go stale
-// behind a fault), and the step, chained and trace tiers all report the
-// identical fault.
+// behind a fault), and the step and trace tiers both report the identical
+// fault.
 func TestStraddlingAccessFaults(t *testing.T) {
 	const end = testDataBase + 4<<20 // first unmapped byte after the data area
 	cases := []struct {
@@ -42,7 +42,7 @@ func TestStraddlingAccessFaults(t *testing.T) {
 				` + tc.asm + `
 				ret`)
 			var first string
-			for _, e := range []Engine{EngineStep, EngineChained, EngineTrace} {
+			for _, e := range []Engine{EngineStep, EngineTrace} {
 				m := newTestMachine(t)
 				m.SetEngine(e)
 				if err := m.WriteData(end-16, pattern); err != nil {

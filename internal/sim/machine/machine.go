@@ -113,24 +113,21 @@ type Machine struct {
 	core coreState
 
 	// prog is the pre-decoded form of the code image installed by the most
-	// recent WriteCode; decVersion/decCache back the slow path for code
-	// executed outside it. Both are invalidated when code memory is
+	// recent WriteCode; it is dropped when code memory inside it is
 	// rewritten.
-	prog       program
-	decVersion uint64
-	decCache   map[uint32]*decEntry
+	prog program
 	// decMemo caches decode results by code-byte content (see decodeRaw);
 	// it survives WriteCode because changed bytes change the key.
 	decMemo map[decKey]x86.DecodedInstr
+	// outside holds the decoded instruction executing outside the program
+	// (see decodeAt).
+	outside x86.DecodedInstr
 	// lineShift is log2 of the L1I line size, folded into every decoded
 	// entry's line span at predecode time.
 	lineShift uint8
-	// noChain makes Run execute through step() — resolving every
-	// instruction from c.rip — instead of the chained dispatcher; noTrace
-	// keeps the chained dispatcher but disables block (trace) execution.
-	// Together they form the engine-selection seam (SetEngine/Engine in
-	// trace.go) the differential property tests force each tier through.
-	noChain bool
+	// noTrace switches block (trace) execution off: the engine-selection
+	// seam (SetEngine/Engine in trace.go) the differential property tests
+	// force the step tier through.
 	noTrace bool
 
 	// Trace-mode scratch: the per-block PMU event buffers, the replay-key
@@ -152,11 +149,6 @@ type Machine struct {
 	// irqScratch is a physical region the fake interrupt handler touches
 	// to perturb the caches.
 	irqScratch uint64
-}
-
-type decEntry struct {
-	version uint64
-	d       x86.DecodedInstr
 }
 
 // New builds a machine from the spec. The low megabyte of physical memory
@@ -194,7 +186,6 @@ func New(spec Spec) (*Machine, error) {
 		Hier:       hier,
 		rng:        rng,
 		msr:        map[uint32]uint64{},
-		decCache:   map[uint32]*decEntry{},
 		decMemo:    map[decKey]x86.DecodedInstr{},
 		lineShift:  lineShift,
 		irqScratch: 0x40000, // inside the reserved low megabyte
@@ -209,9 +200,9 @@ func New(spec Spec) (*Machine, error) {
 // the given seed, whatever the machine ran before, so a scheduler can
 // reuse one machine across evaluations. Everything is re-initialized in
 // place; only the content-keyed decode memo survives, because decoding is
-// a pure function of the code bytes (the trace-mode scratch buffers hold
-// nothing between blocks). The order of the RNG draws matches a fresh
-// build.
+// a pure function of the code bytes (the trace-mode scratch buffers and
+// the outside slot hold nothing between blocks and instructions). The
+// order of the RNG draws matches a fresh build.
 func (m *Machine) Reset(seed int64) error {
 	m.Spec.Seed = seed
 	// Reseed in place: the allocator draws from the same *rand.Rand.
@@ -227,8 +218,6 @@ func (m *Machine) Reset(seed int64) error {
 	clear(m.msr)
 	m.core = coreState{}
 	m.prog.drop()
-	m.decVersion = 0
-	clear(m.decCache)
 	m.mode, m.ifEn, m.cr4pce = User, false, false
 	m.SetEngine(EngineTrace)
 	m.MaxInstructions = 64 << 20
@@ -287,15 +276,13 @@ func (m *Machine) SetFetchLineMemo(line uint64) {
 
 // WriteCode copies machine code into virtual memory and installs it as
 // the machine's pre-decoded program: the image is decoded eagerly, front
-// to back, into a flat array of fused-µop entries chained by successor
-// links (see program), so the run loop dispatches block to block without
-// re-resolving addresses. Previously cached decodes are invalidated.
+// to back, into a flat array of fused-µop entries indexed by code offset
+// (see program), replacing the previous program.
 func (m *Machine) WriteCode(virt uint32, code []byte) error {
 	if !m.Mem.Write(virt, code) {
 		return fmt.Errorf("machine: code write to unmapped address %#x", virt)
 	}
 	m.prog.install(virt, len(code))
-	m.decVersion++
 	m.predecodeImage()
 	return nil
 }
@@ -324,7 +311,6 @@ func (m *Machine) Reboot() {
 		b.ResetAll()
 	}
 	m.prog.drop()
-	m.decVersion++
 }
 
 // ProgramValid reports whether the pre-decoded program installed by the
@@ -408,19 +394,9 @@ func (m *Machine) RunContext(ctx context.Context, entry uint32) (RunResult, erro
 	c.regReady[x86.RSP] = c.feCycle
 	c.rip = entry
 
-	// The dispatch loop is chained: the current instruction's program
-	// entry index is carried between iterations and the next index comes
-	// from the entry's successor links (fall for straight-line/not-taken,
-	// tgt for the pre-resolved branch target), so the steady state runs
-	// basic blocks in a tight loop and jumps block to block without
-	// re-resolving RIPs. idx < 0 means "resolve c.rip from scratch" —
-	// the entry path, dynamic targets (RET), code outside the program,
-	// and everything after an invalidation. Links discovered at run time
-	// (lazily decoded entries) are resolved once and cached via prevIdx.
-	ver := m.decVersion
-	idx := int32(-1)
-	prevIdx := int32(-1) // entry whose missing link the next resolution fills
-	prevTaken := false   // which link of prevIdx: tgt (true) or fall
+	// Every instruction is found by instrAt, on both tiers: the program's
+	// byte index inside the installed image, the current bytes anywhere
+	// else.
 	for {
 		if c.instructions-startInstr > m.MaxInstructions {
 			return RunResult{}, &Fault{RIP: c.rip, Reason: "instruction budget exceeded (runaway loop?)"}
@@ -436,69 +412,29 @@ func (m *Machine) RunContext(ctx context.Context, entry uint32) (RunResult, erro
 			m.deliverInterrupt()
 			irqs++
 		}
-		if m.noChain {
-			stop, err := m.step()
-			if err != nil {
-				return RunResult{}, err
-			}
-			if stop {
-				break
-			}
-			continue
+		d, idx, err := m.instrAt(c.rip)
+		if err != nil {
+			return RunResult{}, err
 		}
-		if ver != m.decVersion { // program dropped (self-modifying code)
-			ver = m.decVersion
-			idx, prevIdx = -1, -1
-		}
-		var d *x86.DecodedInstr
-		if idx < 0 {
-			var err error
-			idx, err = m.progIndexAt(c.rip)
-			if err != nil {
-				return RunResult{}, err
-			}
-			if idx >= 0 && prevIdx >= 0 {
-				if prevTaken {
-					m.prog.links[prevIdx].tgt = idx
-				} else {
-					m.prog.links[prevIdx].fall = idx
+		// Trace tier: a fused program entry heading a block executes the
+		// whole block in one pass. Blocks are skipped — never split — when
+		// user-mode timer interrupts could fire (their delivery window is
+		// per instruction) or when the block could cross the instruction
+		// budget (the per-instruction path faults at exactly the step
+		// tier's point).
+		if idx >= 0 && !m.noTrace && d.Fast != x86.FastNone &&
+			!(m.ifEn && m.mode == User && m.Spec.InterruptInterval > 0) {
+			if bi := m.prog.blockOf[idx]; bi != blockNoTrace {
+				if bi < 0 {
+					bi = m.buildBlock(idx)
 				}
-			}
-			prevIdx = -1
-			if idx < 0 {
-				if d, err = m.decodeSlow(c.rip); err != nil {
-					return RunResult{}, err
-				}
-			}
-		}
-		if idx >= 0 {
-			d = &m.prog.instrs[idx]
-			// Trace tier: a fused entry heading a block executes the whole
-			// block in one pass. Blocks are skipped — never split — when
-			// user-mode timer interrupts could fire (their delivery window
-			// is per instruction) or when the block could cross the
-			// instruction budget (the per-instruction path faults at
-			// exactly the chained tier's point).
-			if !m.noTrace && d.Fast != x86.FastNone &&
-				!(m.ifEn && m.mode == User && m.Spec.InterruptInterval > 0) {
-				if bi := m.prog.blockOf[idx]; bi != blockNoTrace {
-					if bi < 0 {
-						bi = m.buildBlock(idx)
-					}
-					if bi >= 0 {
-						b := &m.prog.blocks[bi]
-						if c.instructions-startInstr+uint64(len(b.steps)) <= m.MaxInstructions {
-							if err := m.execBlock(b); err != nil {
-								return RunResult{}, err
-							}
-							if nk := m.prog.links[b.lastIdx].fall; nk >= 0 {
-								idx = nk
-							} else {
-								prevIdx, prevTaken = b.lastIdx, false
-								idx = -1
-							}
-							continue
+				if bi >= 0 {
+					b := &m.prog.blocks[bi]
+					if c.instructions-startInstr+uint64(len(b.steps)) <= m.MaxInstructions {
+						if err := m.execBlock(b); err != nil {
+							return RunResult{}, err
 						}
+						continue
 					}
 				}
 			}
@@ -510,26 +446,6 @@ func (m *Machine) RunContext(ctx context.Context, entry uint32) (RunResult, erro
 		if stop {
 			break
 		}
-		if idx >= 0 && ver == m.decVersion {
-			lk := m.prog.links[idx]
-			switch {
-			case c.rip == d.Next:
-				if lk.fall >= 0 {
-					idx = lk.fall
-					continue
-				}
-				prevIdx, prevTaken = idx, false
-			case d.TargetOK && c.rip == d.Target:
-				if lk.tgt >= 0 {
-					idx = lk.tgt
-					continue
-				}
-				prevIdx, prevTaken = idx, true
-			}
-		} else {
-			prevIdx = -1
-		}
-		idx = -1
 	}
 	return RunResult{
 		Instructions: c.instructions - startInstr,

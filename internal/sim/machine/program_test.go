@@ -125,3 +125,78 @@ func TestRebootDropsProgram(t *testing.T) {
 		t.Fatal("program should be dropped by Reboot")
 	}
 }
+
+// TestRewrittenCodeRunsCurrentBytes pins that code runs from its current
+// bytes wherever it lives: nanoBench generates its benchmark code at run
+// time and executes it from memory, so a rewrite must take effect even
+// outside the installed program. A stub MOV RBX, 1; RET in the data area,
+// called from the program, is rewritten to MOV RBX, 2; RET — once with
+// WriteData between two runs, and once by a simulated store between two
+// CALLs in one run. Every call after the rewrite must leave RBX = 2, on
+// both engine tiers.
+func TestRewrittenCodeRunsCurrentBytes(t *testing.T) {
+	const stub = testDataBase + 0x1000
+	stubCode := func(v int64) []byte {
+		code := encode(t, encode(t, nil, x86.I(x86.MOV, x86.RBX, x86.Imm(v))), x86.I(x86.RET))
+		if len(code) > 8 {
+			t.Fatalf("stub encoded to %d bytes, want at most 8", len(code))
+		}
+		return append(code, make([]byte, 8-len(code))...)
+	}
+	stub1, stub2 := stubCode(1), stubCode(2)
+	// callStub appends a CALL rel32 (5 bytes) to the stub.
+	callStub := func(buf []byte) []byte {
+		return encode(t, buf, x86.I(x86.CALL, x86.Imm(int64(stub)-int64(testCodeBase+len(buf)+5))))
+	}
+	install := func(t *testing.T, e Engine, code []byte) *Machine {
+		m := newTestMachine(t)
+		m.SetEngine(e)
+		if err := m.WriteData(stub, stub1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.WriteCode(testCodeBase, code); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, e := range []Engine{EngineStep, EngineTrace} {
+		t.Run(e.String()+"/WriteData", func(t *testing.T) {
+			m := install(t, e, encode(t, callStub(nil), x86.I(x86.RET)))
+			for i, want := range []uint64{1, 2} {
+				if i == 1 {
+					if err := m.WriteData(stub, stub2); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := m.Run(testCodeBase); err != nil {
+					t.Fatal(err)
+				}
+				if got := m.Reg(x86.RBX); got != want {
+					t.Fatalf("run %d: RBX = %d, want %d (stale decode of rewritten stub?)", i+1, got, want)
+				}
+			}
+		})
+		t.Run(e.String()+"/store", func(t *testing.T) {
+			var patch uint64
+			for i, b := range stub2 {
+				patch |= uint64(b) << (8 * i)
+			}
+			code := callStub(nil)
+			code = encode(t, code, x86.I(x86.MOV, x86.R8, x86.RBX))
+			code = encode(t, code, x86.I(x86.MOV, x86.RAX, x86.Imm(int64(patch))))
+			code = encode(t, code, x86.I(x86.MOV, x86.MemAt(stub), x86.RAX))
+			code = callStub(code)
+			code = encode(t, code, x86.I(x86.RET))
+			m := install(t, e, code)
+			if _, err := m.Run(testCodeBase); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.Reg(x86.R8); got != 1 {
+				t.Fatalf("first call: RBX = %d, want 1", got)
+			}
+			if got := m.Reg(x86.RBX); got != 2 {
+				t.Fatalf("call after the store: RBX = %d, want 2 (stale decode of rewritten stub?)", got)
+			}
+		})
+	}
+}

@@ -7,29 +7,30 @@ import (
 	"nanobench/internal/x86"
 )
 
-// Trace-mode execution: the top tier of the three-tier engine.
+// Trace-mode execution: the upper of the engine's two tiers. Both run
+// inside RunContext's one loop, which finds every instruction through
+// instrAt.
 //
-//   - step()   — the reference interpreter: resolves every instruction
-//     from c.rip. Never optimized; every other tier is property-tested
-//     against it (TestChainedMatchesSingleStep, FuzzTraceMatchesStep).
-//   - chained  — Run's successor-link dispatch (PR 5): no per-step RIP
-//     resolution, per-instruction execution.
-//   - trace    — this file: maximal runs of fused single-µop entries
-//     (x86.FastKind) execute as one block, with budget/IRQ/decVersion
-//     re-validated only at block boundaries, one PMU.Advance per block,
-//     and the whole block's PMU events delivered in one RecordBlock walk.
-//     Steady-state blocks additionally replay a recorded port schedule
-//     ("port-pick cache"), skipping per-µop port selection entirely.
+//   - step  — the reference tier: RunContext with blocks switched off,
+//     executing one instruction per iteration through execOne. Never
+//     optimized; the trace tier is property-tested against it
+//     (TestChainedMatchesSingleStep, FuzzTraceMatchesStep).
+//   - trace — this file: maximal runs of fused single-µop entries
+//     (x86.FastKind) execute as one block, with budget/IRQ checks made
+//     only at block boundaries, one PMU.Advance per block, and the whole
+//     block's PMU events delivered in one RecordBlock walk. Steady-state
+//     blocks additionally replay a recorded port schedule ("port-pick
+//     cache"), skipping per-µop port selection entirely.
 //
 // Why block granularity is bit-identical:
 //
 //   - Fused instructions cannot store, fault (their lines were fetched to
 //     decode them; translate failures surface identically through the
 //     per-step fetch of record mode), or touch privileged state, so no
-//     decVersion bump, IRQ window check, or budget fault can occur inside
-//     a block: a budget precheck at entry (with per-instruction fallback)
+//     program drop, IRQ window check, or budget fault can occur inside a
+//     block: a budget precheck at entry (with per-instruction fallback)
 //     and Run's existing checks at block boundaries observe exactly what
-//     the chained loop observes. Blocks are only dispatched when user-mode
+//     the step tier observes. Blocks are only dispatched when user-mode
 //     timer interrupts cannot fire.
 //   - PMU.Advance(w) is a promise that no future counter read samples
 //     below w; raising the watermark less often (once per block instead of
@@ -55,7 +56,7 @@ import (
 // record-only.
 //
 // Blocks and their recorded schedules live inside program, so every
-// install/drop — every decVersion bump from a self-modifying write —
+// install/drop — including the drop a self-modifying write causes —
 // discards them before the next dispatch.
 
 // blockOf sentinels (see program.blockOf).
@@ -110,7 +111,6 @@ type traceSlot struct {
 // left past the end of program.blocks.
 type traceBlock struct {
 	steps   []int32 // program entry indices, in execution order
-	lastIdx int32   // steps[len-1]: its fall link is the block successor
 	exitRIP uint32
 	// replayable: every step is x86.ReplaySafe (the block is single-line
 	// by construction), so a schedule recorded at an identical entry key
@@ -146,15 +146,14 @@ type blockEvents struct {
 // Engine selects Run's execution tier. The zero value is EngineTrace:
 // trace mode is the default engine; the seam exists so the differential
 // tests (and callers debugging a suspected engine divergence) can force
-// the chained or reference tier.
+// the reference tier.
 type Engine uint8
 
-// Execution tiers, fastest first. All three produce bit-identical
+// Execution tiers, fastest first. Both produce bit-identical
 // architectural state, cycles, and counter values.
 const (
-	EngineTrace   Engine = iota // block dispatch + schedule replay (default)
-	EngineChained               // per-instruction chained dispatch (PR 5)
-	EngineStep                  // reference interpreter, resolves from c.rip
+	EngineTrace Engine = iota // block dispatch + schedule replay (default)
+	EngineStep                // reference tier: one instruction per iteration
 )
 
 // String names the tier (benchmark sub-names, test labels).
@@ -162,43 +161,36 @@ func (e Engine) String() string {
 	switch e {
 	case EngineTrace:
 		return "trace"
-	case EngineChained:
-		return "chained"
 	case EngineStep:
 		return "step"
 	}
 	return "Engine(?)"
 }
 
-// SetEngine forces an execution tier; it maps onto the noChain/noTrace
-// hooks the Run loop branches on.
-func (m *Machine) SetEngine(e Engine) {
-	m.noChain = e == EngineStep
-	m.noTrace = e != EngineTrace
-}
+// SetEngine forces an execution tier; it maps onto the noTrace hook the
+// Run loop branches on.
+func (m *Machine) SetEngine(e Engine) { m.noTrace = e == EngineStep }
 
 // Engine reports the execution tier Run uses.
 func (m *Machine) Engine() Engine {
-	switch {
-	case m.noChain:
+	if m.noTrace {
 		return EngineStep
-	case m.noTrace:
-		return EngineChained
 	}
 	return EngineTrace
 }
 
 // buildBlock discovers the trace block headed by program entry idx by
-// following fall links over fused entries, records its metadata (port
-// set, live-in registers, replayability), and caches the result in
-// blockOf. Blocks never span an I-cache line: the walk stops at the
-// first entry outside the head's line, so one entry fetch covers the
-// whole block and a straight-line stream splits into per-line blocks
-// that can each replay a recorded schedule. (Block granularity is
-// identity-safe at any split — boundaries only set the batching of
-// budget/IRQ checks and PMU delivery.) Fall links strictly increase the
-// instruction address, so the walk terminates. Returns the block index
-// or blockNoTrace.
+// following each fused entry's fallthrough address (Next) through the
+// byte index, records its metadata (port set, live-in registers,
+// replayability), and caches the result in blockOf. Blocks never span an
+// I-cache line: the walk stops at the first entry outside the head's
+// line, so one entry fetch covers the whole block and a straight-line
+// stream splits into per-line blocks that can each replay a recorded
+// schedule. (Block granularity is identity-safe at any split — boundaries
+// only set the batching of budget/IRQ checks and PMU delivery.) The walk
+// stops at a successor not decoded yet, and Next strictly increases the
+// instruction address, so it terminates. Returns the block index or
+// blockNoTrace.
 //
 // The new block takes the next element of program.blocks' backing array,
 // so a program reuses the block storage earlier programs left: the step,
@@ -214,21 +206,23 @@ func (m *Machine) buildBlock(idx int32) int32 {
 	b := &p.blocks[:bi+1][bi]
 	line := uint64(p.instrs[idx].LineFirst)
 	steps := b.steps[:0]
-	for j := idx; j >= 0 && len(steps) < traceMaxBlock; j = p.links[j].fall {
+	for j := idx; j >= 0 && len(steps) < traceMaxBlock; {
 		d := &p.instrs[j]
 		if d.Fast == x86.FastNone || uint64(d.LineFirst) != line || d.LineLast != d.LineFirst {
 			break
 		}
 		steps = append(steps, j)
+		j = -1
+		if off := d.Next - p.base; off < p.size {
+			j = p.byteIdx[off]
+		}
 	}
 	b.steps = steps
 	if len(steps) < traceMinBlock {
 		p.blockOf[idx] = blockNoTrace
 		return blockNoTrace
 	}
-	last := steps[len(steps)-1]
-	b.lastIdx = last
-	b.exitRIP = p.instrs[last].Next
+	b.exitRIP = p.instrs[steps[len(steps)-1]].Next
 	b.replayable = true
 	b.line = line
 	b.portSet = b.portSet[:0]
@@ -444,7 +438,7 @@ func (m *Machine) execBlock(b *traceBlock) error {
 }
 
 // execBlockRecord executes the block's steps through the same per-step
-// fetch and fused execution as the chained tier, accumulating PMU events
+// fetch and fused execution as the step tier, accumulating PMU events
 // for one end-of-block delivery and (when record is set) capturing the
 // port schedule into the block's next replay slot. A recording pass fills
 // the slot's event arrays regardless of pmuOn — counters may be active

@@ -154,15 +154,11 @@ func (s *Session) Seed() int64 { return s.seed }
 func (s *Session) Cache() *BatchCache { return s.cache }
 
 // Run evaluates one configuration and returns its typed result. It is
-// equivalent to a one-element RunBatch: the evaluation runs on a fresh
+// equivalent to a one-element RunBatch — the evaluation runs on a fresh
 // machine seeded for batch index 0, and repeated identical Runs are
-// served from the session cache.
+// served from the session cache — but runs on the caller's goroutine.
 func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
-	res, err := s.RunBatch(ctx, []Config{cfg})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	return s.exec.RunOne(ctx, s.jobs([]Config{cfg})[0])
 }
 
 // RunRendered is Run for callers that need only a rendering of the

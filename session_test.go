@@ -387,3 +387,65 @@ func TestSessionRunBatchPartialOnCancel(t *testing.T) {
 		t.Fatalf("cancelled batch returned %d slots, want 3", len(res))
 	}
 }
+
+// TestRunMatchesOneConfigBatch pins Run, which runs its one config on the
+// caller's goroutine, to RunBatch(ctx, []Config{cfg})[0]: on a miss, a
+// hit, a failing config and a cancelled context, the result bytes, the
+// error text and the session cache's hit and miss counts agree.
+func TestRunMatchesOneConfigBatch(t *testing.T) {
+	// User mode makes the result depend on the machine seed: timer
+	// interrupts land inside this measurement.
+	run, batch := openT(t, WithSeed(7), WithMode(User)), openT(t, WithSeed(7), WithMode(User))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := Config{
+		Code:          MustAsm("mov r14, [r14]"),
+		CodeInit:      MustAsm("mov [r14], r14"),
+		UnrollCount:   100,
+		LoopCount:     2000,
+		NMeasurements: 1,
+	}
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, step := range []struct {
+		name         string
+		ctx          context.Context
+		cfg          Config
+		hits, misses uint64
+	}{
+		{"miss", context.Background(), cfg, 0, 1},
+		{"hit", context.Background(), cfg, 1, 1},
+		{"failing", context.Background(), Config{Code: MustAsm("nop"), LoopCount: -1}, 1, 2},
+		{"cancelled", cancelled, cfg, 1, 2},
+	} {
+		got, gotErr := run.Run(step.ctx, step.cfg)
+		res, wantErr := batch.RunBatch(step.ctx, []Config{step.cfg})
+		if errText(gotErr) != errText(wantErr) {
+			t.Fatalf("%s: Run error %q, RunBatch error %q", step.name, errText(gotErr), errText(wantErr))
+		}
+		if (step.name == "failing" || step.name == "cancelled") && gotErr == nil {
+			t.Fatalf("%s: Run returned no error", step.name)
+		}
+		gotJSON, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := json.Marshal(res[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotJSON) != string(wantJSON) {
+			t.Fatalf("%s: Run result %s, RunBatch result %s", step.name, gotJSON, wantJSON)
+		}
+		rh, rm := run.CacheStats()
+		bh, bm := batch.CacheStats()
+		if rh != bh || rm != bm || rh != step.hits || rm != step.misses {
+			t.Fatalf("%s: Run cache %d hits/%d misses, RunBatch %d/%d; want %d/%d",
+				step.name, rh, rm, bh, bm, step.hits, step.misses)
+		}
+	}
+}
