@@ -38,11 +38,14 @@ func (r *Runner) generate(cfg Config, g counterGroup, localUnroll int) ([]byte, 
 
 	// Pre-process the benchmark code: replace the pause/resume magic byte
 	// sequences before unrolling so every copy gets the patch
-	// (Section IV-B).
+	// (Section IV-B). With localUnroll 0 the body is never emitted.
 	ctl := globalCtlValue(g)
-	body, err := r.replaceMarkers(cfg.Code, cfg.NoMem, ctl)
-	if err != nil {
-		return nil, err
+	var body []byte
+	var err error
+	if localUnroll > 0 {
+		if body, err = r.replaceMarkers(cfg.Code, cfg.NoMem, ctl); err != nil {
+			return nil, err
+		}
 	}
 	init, err := r.replaceMarkers(cfg.CodeInit, cfg.NoMem, ctl)
 	if err != nil {

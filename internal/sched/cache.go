@@ -13,7 +13,8 @@ import (
 
 // Key is the content address of one evaluation: a SHA-256 over the CPU
 // name, privilege mode, big-area size, and the canonicalized
-// configuration.
+// configuration. An entry's alias (Executor.RunRenderedAlias) is a Key
+// too: a caller's SHA-256 of the request bytes that named the job.
 type Key [sha256.Size]byte
 
 // KeyOf computes the content key of a job: everything that determines its
@@ -105,12 +106,17 @@ func writeBool(h hash.Hash, v bool) {
 // all accessors hand out deep copies, so cached values are immutable no
 // matter what callers do with the results. An entry may also carry an
 // opaque rendering of its result (Executor.RunRendered), which later
-// lookups hand out shared instead of copying the result.
+// lookups hand out shared instead of copying the result, and an alias
+// under which AliasRendering finds that rendering.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[Key]*list.Element // values are *cacheEntry
-	lru     *list.List            // front = most recently used
-	max     int                   // 0: unbounded
+	// aliases indexes the entries that carry an alias. It has no bound
+	// or eviction of its own: an entry has at most one alias, which
+	// leaves the index with its entry.
+	aliases map[Key]*list.Element
+	lru     *list.List // front = most recently used
+	max     int        // 0: unbounded
 	hits    uint64
 	misses  uint64
 	evicted uint64
@@ -122,6 +128,9 @@ type cacheEntry struct {
 	// rendered is the rendering RunRendered attached on the entry's first
 	// cache hit; nil until then. It leaves the cache with the entry.
 	rendered []byte
+	// alias is the key the call that attached rendered filed it under
+	// (RunRenderedAlias), or nil; it leaves the cache with the entry.
+	alias *Key
 }
 
 // NewCache builds an empty, unbounded result cache — the CLI default,
@@ -140,6 +149,7 @@ func NewCacheLRU(maxEntries int) *Cache {
 	}
 	return &Cache{
 		entries: make(map[Key]*list.Element),
+		aliases: make(map[Key]*list.Element),
 		lru:     list.New(),
 		max:     maxEntries,
 	}
@@ -176,13 +186,50 @@ func (c *Cache) rendering(k Key) []byte {
 	return el.Value.(*cacheEntry).rendered
 }
 
-// attach stores rendered on k's entry; it does nothing when k has been
-// evicted meanwhile. It neither counts a lookup nor refreshes recency.
-func (c *Cache) attach(k Key, rendered []byte) {
+// AliasRendering returns the rendering filed under alias by
+// Executor.RunRenderedAlias, counting one lookup as a hit and refreshing
+// the entry's recency, exactly as the call that answered it from the
+// rendering would have. When no cached entry carries alias it returns nil
+// and counts nothing, so the caller's evaluation counts its one lookup.
+// The bytes are shared; the caller must not modify them.
+func (c *Cache) AliasRendering(alias Key) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el := c.entries[k]; el != nil {
-		el.Value.(*cacheEntry).rendered = rendered
+	el := c.aliases[alias]
+	if el == nil {
+		return nil
+	}
+	c.hits++
+	c.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry).rendered
+}
+
+// attach stores rendered on k's entry and, when alias is non-nil, files
+// the entry under *alias in place of its earlier alias. It does nothing
+// when k has been evicted meanwhile, and it neither counts a lookup nor
+// refreshes recency.
+func (c *Cache) attach(k Key, rendered []byte, alias *Key) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el := c.entries[k]
+	if el == nil {
+		return
+	}
+	el.Value.(*cacheEntry).rendered = rendered
+	if alias != nil {
+		c.dropAlias(el)
+		a := *alias
+		el.Value.(*cacheEntry).alias = &a
+		c.aliases[a] = el
+	}
+}
+
+// dropAlias removes el's alias, if any, from the entry and the index.
+// The caller holds c.mu.
+func (c *Cache) dropAlias(el *list.Element) {
+	if ent := el.Value.(*cacheEntry); ent.alias != nil {
+		delete(c.aliases, *ent.alias)
+		ent.alias = nil
 	}
 }
 
@@ -201,6 +248,7 @@ func (c *Cache) put(k Key, r *nano.Result) {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		c.dropAlias(oldest)
 		c.evicted++
 	}
 }

@@ -154,3 +154,57 @@ func TestRunRenderedStoresOnFirstHit(t *testing.T) {
 		t.Fatalf("after eviction: hit %v, err %v; want a miss", hit, err)
 	}
 }
+
+// TestRunRenderedAliasLifecycle walks one job through RunRenderedAlias:
+// the miss files no alias, the first hit files its alias with the
+// rendering, AliasRendering then answers the stored bytes and counts one
+// hit, a later stored hit files no second alias, and eviction drops the
+// alias with its entry. A failed alias lookup counts nothing.
+func TestRunRenderedAliasLifecycle(t *testing.T) {
+	c := NewCacheLRU(1)
+	exec := New(Options{Workers: 1, RootSeed: 7, Cache: c})
+	job := Job{CPU: "Skylake", Mode: machine.Kernel, Cfg: nano.Config{Code: nano.MustAsm("add rbx, rbx"), NMeasurements: 2}}
+	render := func(r *nano.Result) ([]byte, error) { return r.MarshalJSON() }
+	ctx := context.Background()
+	alias, other := Key{1}, Key{2}
+	lookups := func() uint64 {
+		hits, misses := c.Stats()
+		return hits + misses
+	}
+
+	if _, _, err := exec.RunRenderedAlias(ctx, job, &alias, render); err != nil {
+		t.Fatal(err)
+	}
+	if c.AliasRendering(alias) != nil || lookups() != 1 {
+		t.Fatalf("after the miss: an alias answered, or %d lookups counted, want 1", lookups())
+	}
+	stored, hit, err := exec.RunRenderedAlias(ctx, job, &alias, render)
+	if err != nil || !hit {
+		t.Fatalf("first hit: hit %v, err %v", hit, err)
+	}
+	got := c.AliasRendering(alias)
+	if got == nil || &got[0] != &stored[0] {
+		t.Fatalf("AliasRendering answered %s, want the stored rendering %s", got, stored)
+	}
+	if hits, misses := c.Stats(); hits != 2 || misses != 1 {
+		t.Fatalf("after an alias hit: %d hits, %d misses; want 2, 1", hits, misses)
+	}
+	if _, _, err := exec.RunRenderedAlias(ctx, job, &other, render); err != nil {
+		t.Fatal(err)
+	}
+	if c.AliasRendering(other) != nil || lookups() != 4 {
+		t.Fatalf("a stored hit filed its alias, or %d lookups counted, want 4", lookups())
+	}
+
+	evictor := job
+	evictor.Cfg.Code = nano.MustAsm("imul rbx, rbx")
+	if _, err := exec.RunContext(ctx, []Job{evictor}); err != nil {
+		t.Fatal(err)
+	}
+	if c.AliasRendering(alias) != nil || len(c.aliases) != 0 {
+		t.Fatalf("the alias outlived its evicted entry (%d aliases indexed)", len(c.aliases))
+	}
+	if lookups() != 5 {
+		t.Fatalf("%d lookups counted, want 5", lookups())
+	}
+}

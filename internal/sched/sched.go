@@ -154,6 +154,19 @@ func (e *Executor) RunOne(ctx context.Context, j Job) (*nano.Result, error) {
 // RunRendered caller sharing a cache must pass the same one. The
 // returned bytes may be shared: callers must not modify them.
 func (e *Executor) RunRendered(ctx context.Context, j Job, render func(*nano.Result) ([]byte, error)) (data []byte, cacheHit bool, err error) {
+	return e.RunRenderedAlias(ctx, j, nil, render)
+}
+
+// RunRenderedAlias is RunRendered that, when alias is non-nil, files the
+// rendering it attaches under *alias as well, so that Cache.AliasRendering
+// answers *alias with the stored bytes before the caller has built j. An
+// alias is attached only together with the rendering, on the entry's
+// first cache hit, and it leaves the cache with its entry.
+//
+// The alias stands for j: every call on a cache that passes the same
+// alias must pass a job with the same cache key, such as the SHA-256 of
+// request bytes that alone determine the job.
+func (e *Executor) RunRenderedAlias(ctx context.Context, j Job, alias *Key, render func(*nano.Result) ([]byte, error)) (data []byte, cacheHit bool, err error) {
 	it, stored, cacheKey := e.runOne(ctx, j, true)
 	if stored != nil {
 		return stored, true, nil
@@ -165,7 +178,7 @@ func (e *Executor) RunRendered(ctx context.Context, j Job, render func(*nano.Res
 		return nil, false, err
 	}
 	if it.CacheHit {
-		e.opts.Cache.attach(cacheKey, data)
+		e.opts.Cache.attach(cacheKey, data, alias)
 	}
 	return data, it.CacheHit, nil
 }

@@ -42,7 +42,7 @@ func (s *Server) prepare(req client.JobRequest, shards int) (evaluation, *apiErr
 	case set != 1:
 		return evaluation{}, errBadRequest(`give exactly one of "run", "runbatch", "sweep", "campaign"`)
 	case req.Run != nil:
-		return s.prepareRun(*req.Run)
+		return s.prepareRun(*req.Run, nil)
 	case req.RunBatch != nil:
 		groups, n, e := s.prepareBatch(*req.RunBatch)
 		if e != nil {
@@ -90,8 +90,9 @@ type evalGroup struct {
 }
 
 // prepareRun validates a single-evaluation request and resolves its
-// session.
-func (s *Server) prepareRun(req client.RunRequest) (evaluation, *apiError) {
+// session. A non-nil alias — the request body's SHA-256 on /v1/run — is
+// filed with the rendering the run stores (Session.RunRendered).
+func (s *Server) prepareRun(req client.RunRequest, alias *nanobench.BatchKey) (evaluation, *apiError) {
 	if len(req.Config.Code) == 0 && len(req.Config.CodeInit) == 0 {
 		return evaluation{}, errInvalid("config: no benchmark code (give code/asm or code_init/asm_init)")
 	}
@@ -104,7 +105,7 @@ func (s *Server) prepareRun(req client.RunRequest) (evaluation, *apiError) {
 	}
 	return evaluation{kind: "run", n: 1, run: func(ctx context.Context, step func(cacheHit, failed bool)) (any, error) {
 		// A repeated run answers its first cached rendering's bytes.
-		data, hit, err := sess.RunRendered(ctx, req.Config, func(res *nanobench.Result) ([]byte, error) {
+		data, hit, err := sess.RunRendered(ctx, req.Config, alias, func(res *nanobench.Result) ([]byte, error) {
 			return renderJSON(client.RunResponse{CPU: sess.CPUName(), Mode: sess.Mode().String(), Result: res})
 		})
 		step(hit, err != nil)

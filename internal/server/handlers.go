@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"net/http"
@@ -32,13 +33,33 @@ func (s *Server) handler(method string, counter *atomic.Uint64, evaluates bool, 
 	}
 }
 
+// handleRun answers a body that already named a stored rendering — the
+// body of an earlier request answered from the cache — with those bytes,
+// before decoding it: the body's SHA-256 is the alias its run filed the
+// rendering under. Any other body is decoded and evaluated, and its
+// run files the rendering under the body's alias when it stores one.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req client.RunRequest
-	if e := decodeJSON(r, &req); e != nil {
+	body, e := readBody(r)
+	if e != nil {
 		writeError(w, e)
 		return
 	}
-	s.serveSync(w, r, client.JobRequest{Run: &req})
+	alias := nanobench.BatchKey(sha256.Sum256(body))
+	if data := s.cache.AliasRendering(alias); data != nil {
+		writeJSON(w, http.StatusOK, rendered(data))
+		return
+	}
+	var req client.RunRequest
+	if e := decodeBody(body, &req); e != nil {
+		writeError(w, e)
+		return
+	}
+	ev, e := s.prepareRun(req, &alias)
+	if e != nil {
+		writeError(w, e)
+		return
+	}
+	serveEval(w, r, ev)
 }
 
 // serveSync runs a synchronous request's evaluation — the one its job would
@@ -49,6 +70,12 @@ func (s *Server) serveSync(w http.ResponseWriter, r *http.Request, req client.Jo
 		writeError(w, e)
 		return
 	}
+	serveEval(w, r, ev)
+}
+
+// serveEval runs a prepared evaluation under the request context and
+// writes its response body.
+func serveEval(w http.ResponseWriter, r *http.Request, ev evaluation) {
 	body, err := ev.run(r.Context(), func(bool, bool) {})
 	if err != nil {
 		writeError(w, runError(err))

@@ -126,14 +126,30 @@ func itemError(err error) *client.ItemError {
 // decodeJSON strictly decodes the request body into v: unknown fields,
 // trailing garbage, and oversized bodies are errors.
 func decodeJSON(r *http.Request, v any) *apiError {
+	body, e := readBody(r)
+	if e != nil {
+		return e
+	}
+	return decodeBody(body, v)
+}
+
+// readBody reads the whole request body; one past the server's size
+// bound is the 413 request_too_large.
+func readBody(r *http.Request) ([]byte, *apiError) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return errTooLarge(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+			return nil, errTooLarge(fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 		}
-		return errBadRequest("reading request body: " + err.Error())
+		return nil, errBadRequest("reading request body: " + err.Error())
 	}
+	return body, nil
+}
+
+// decodeBody strictly decodes a read request body into v: unknown fields
+// and trailing garbage are errors.
+func decodeBody(body []byte, v any) *apiError {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

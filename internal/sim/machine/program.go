@@ -150,7 +150,10 @@ type decKey struct {
 
 // decMemoCap bounds the content-keyed decode memo; when full, the map is
 // reset rather than evicted entry-by-entry (the working set of distinct
-// instruction encodings in any one experiment is far below the cap).
+// instruction encodings in any one experiment is far below the cap). The
+// reset map starts empty and unsized: a map presized to the cap is about
+// 19 MB allocated at once, and the memo of a long-lived machine, which
+// survives Reset, does fill up.
 const decMemoCap = 1 << 16
 
 // decodeRaw decodes and pre-decodes the instruction at rip from simulated
@@ -186,7 +189,7 @@ func (m *Machine) decodeRaw(rip uint32) (x86.DecodedInstr, error) {
 		return x86.DecodedInstr{}, &Fault{RIP: rip, Reason: err.Error()}
 	}
 	if len(m.decMemo) >= decMemoCap {
-		m.decMemo = make(map[decKey]x86.DecodedInstr, decMemoCap)
+		m.decMemo = map[decKey]x86.DecodedInstr{}
 	}
 	m.decMemo[key] = d
 	return d, nil

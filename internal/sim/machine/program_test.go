@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"encoding/binary"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"nanobench/internal/x86"
@@ -198,5 +201,58 @@ func TestRewrittenCodeRunsCurrentBytes(t *testing.T) {
 				t.Fatalf("call after the store: RBX = %d, want 2 (stale decode of rewritten stub?)", got)
 			}
 		})
+	}
+}
+
+// TestDecodeMemoOverflowStaysSmall fills a machine's decode memo to its
+// cap and decodes one more encoding. The reset that makes room must
+// allocate little (a map presized to the cap is about 19 MB), leave the
+// memo holding just the new encoding, and decode exactly what a fresh
+// machine decodes; the program must still run correctly afterwards.
+func TestDecodeMemoOverflowStaysSmall(t *testing.T) {
+	code := x86.MustAssemble("mov rax, 6\nmov rbx, 7\nimul rax, rbx\nret")
+	fresh := newTestMachine(t)
+	if err := fresh.WriteData(testCodeBase, code); err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.decodeRaw(testCodeBase)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestMachine(t)
+	if err := m.WriteData(testCodeBase, code); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; len(m.decMemo) < decMemoCap; i++ {
+		var k decKey
+		binary.LittleEndian.PutUint64(k.b[:], uint64(i))
+		k.n = 15 // no real window: a real one decodes to fewer bytes
+		m.decMemo[k] = x86.DecodedInstr{}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := m.decodeRaw(testCodeBase)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("decoding past the memo cap allocated %d bytes, want under 1 MB", alloc)
+	}
+	if len(m.decMemo) != 1 {
+		t.Errorf("memo holds %d entries after the reset, want 1", len(m.decMemo))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded after the reset:\n%+v\nwant a fresh machine's:\n%+v", got, want)
+	}
+	if err := m.WriteCode(testCodeBase, code); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(testCodeBase); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Reg(x86.RAX); got != 42 {
+		t.Errorf("RAX = %d after the reset, want 42", got)
 	}
 }

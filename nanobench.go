@@ -163,6 +163,9 @@ type (
 	// BatchCacheInfo is a snapshot of a cache's occupancy and lookup
 	// counters.
 	BatchCacheInfo = sched.CacheInfo
+	// BatchKey is a SHA-256 content address: a cache key, or the alias
+	// a stored rendering is filed under (Session.RunRendered).
+	BatchKey = sched.Key
 )
 
 // DefaultBatchSeed is the root seed sessions derive per-job machine

@@ -2,11 +2,13 @@
 # Smoke-test a live nanobenchd against the documented wire examples:
 # build the binary, start it with the docs/API.md golden configuration,
 # curl /v1/healthz and a small /v1/run (three times: the miss, the first
-# cache hit and a hit answered from the stored rendering, which must
-# count two cache hits on /metrics), submit a sweep through the async
-# jobs API (submit → long-poll → result), scrape /metrics, check that an
-# oversized campaign is refused and that a campaign failing mid-evaluation
-# answers 422 while the daemon keeps serving, and diff each
+# cache hit and a hit answered from the stored rendering by the body's
+# alias, then once more re-indented, which decodes and answers the same
+# stored rendering; the four must count three cache hits on /metrics),
+# submit a sweep through the async jobs API (submit → long-poll →
+# result), scrape /metrics, check that an oversized campaign is refused
+# and that a campaign failing mid-evaluation answers 422 while the
+# daemon keeps serving, and diff each
 # deterministic response against the corresponding example in
 # docs/API.md. (Job records and the metrics body carry wall-clock
 # timestamps, so those are checked structurally, not byte-for-byte.)
@@ -61,7 +63,7 @@ cache_hits() {
 }
 
 HITS="$(cache_hits)"
-for leg in "first cache hit" "stored-rendering hit"; do
+for leg in "first cache hit" "alias hit"; do
 	echo "== POST /v1/run again ($leg) matches the documented example"
 	extract run-request | curl -s -X POST --data-binary @- "http://$ADDR/v1/run" \
 		| diff <(extract run-response) - \
@@ -69,6 +71,13 @@ for leg in "first cache hit" "stored-rendering hit"; do
 done
 [ "$(cache_hits)" = "$((HITS + 2))" ] \
 	|| { echo "nanobenchd_cache_hits_total went from $HITS to $(cache_hits), want +2" >&2; exit 1; }
+
+echo "== POST /v1/run re-indented (decoded, stored-rendering hit) matches the documented example"
+extract run-request | sed 's/  /\t/g' | curl -s -X POST --data-binary @- "http://$ADDR/v1/run" \
+	| diff <(extract run-response) - \
+	|| { echo "/v1/run (re-indented) drifted from docs/API.md" >&2; exit 1; }
+[ "$(cache_hits)" = "$((HITS + 3))" ] \
+	|| { echo "nanobenchd_cache_hits_total went from $HITS to $(cache_hits), want +3" >&2; exit 1; }
 
 echo "== POST /v1/jobs accepts the documented submission"
 SUBMIT="$(extract jobs-submit-request | curl -s -X POST --data-binary @- "http://$ADDR/v1/jobs")"

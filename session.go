@@ -169,12 +169,19 @@ func (s *Session) Run(ctx context.Context, cfg Config) (*Result, error) {
 // or rendering the result again; a config evaluated once retains
 // nothing extra. Each call counts one cache lookup, as Run does.
 //
+// A non-nil alias is filed with the stored rendering, and from then on
+// BatchCache.AliasRendering(*alias) answers those bytes, counting the
+// lookup, before the caller decodes or builds anything. The alias must
+// stand for this session and config: every call on the cache passing the
+// same alias must evaluate the same config on the same CPU model and
+// mode — the SHA-256 of request bytes that alone determine them, say.
+//
 // A stored rendering answers every later identical call on the cache, so
 // render must be a pure function of the result and the session's CPU
 // model and mode, and every session sharing the cache must pass the same
 // render. The returned bytes may be shared: do not modify them.
-func (s *Session) RunRendered(ctx context.Context, cfg Config, render func(*Result) ([]byte, error)) (data []byte, cacheHit bool, err error) {
-	return s.exec.RunRendered(ctx, s.jobs([]Config{cfg})[0], render)
+func (s *Session) RunRendered(ctx context.Context, cfg Config, alias *BatchKey, render func(*Result) ([]byte, error)) (data []byte, cacheHit bool, err error) {
+	return s.exec.RunRenderedAlias(ctx, s.jobs([]Config{cfg})[0], alias, render)
 }
 
 // RunBatch evaluates the configurations in parallel, one machine per
